@@ -405,6 +405,49 @@ void BM_GateInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GateInference)->Arg(0)->Arg(1);
 
+// The learned gate's first conv (32 -> 24 channels, 24x24, 3x3 stride 2,
+// pad 1), the largest of its three: scalar fast kernel vs the simd
+// lane-per-output-channel kernel (bitwise equal, pinned in tests).
+void gate_conv_inputs(tensor::Tensor& input, tensor::Tensor& weight,
+                      tensor::Tensor& bias, tensor::Conv2dSpec& spec) {
+  util::Rng rng(13);
+  spec.in_channels = 32;
+  spec.out_channels = 24;
+  spec.kernel = 3;
+  spec.stride = 2;
+  spec.padding = 1;
+  input = tensor::Tensor({32, 24, 24});
+  weight = tensor::Tensor({24, 32, 3, 3});
+  bias = tensor::Tensor({24});
+  for (auto& v : input.vec()) v = rng.uniform_f(0.0f, 1.0f);
+  for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
+  for (auto& v : bias.vec()) v = rng.uniform_f(-0.1f, 0.1f);
+}
+
+void BM_Conv2dRowsStride2Fast(benchmark::State& state) {
+  tensor::Tensor input, weight, bias;
+  tensor::Conv2dSpec spec;
+  gate_conv_inputs(input, weight, bias, spec);
+  tensor::Tensor out({24, 12, 12});
+  for (auto _ : state) {
+    tensor::conv2d_rows_fast(input, weight, bias, spec, 0, 12, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_Conv2dRowsStride2Fast);
+
+void BM_Conv2dRowsStride2Simd(benchmark::State& state) {
+  tensor::Tensor input, weight, bias;
+  tensor::Conv2dSpec spec;
+  gate_conv_inputs(input, weight, bias, spec);
+  tensor::Tensor out({24, 12, 12});
+  for (auto _ : state) {
+    tensor::conv2d_rows_simd(input, weight, bias, spec, 0, 12, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_Conv2dRowsStride2Simd);
+
 void BM_ConfigLossesAllBranches(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
   const core::EcoFusionEngine engine;

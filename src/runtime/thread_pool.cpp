@@ -272,6 +272,11 @@ void ThreadPool::run_item(WorkDeque::Item& item, std::size_t worker_id) {
 void ThreadPool::signal_work() {
   work_epoch_.fetch_add(1, std::memory_order_seq_cst);
   if (parked_.load(std::memory_order_seq_cst) > 0) {
+    // A parking worker holds park_mutex_ from its predicate check until
+    // the wait releases it, so taking the mutex here orders this notify
+    // after that worker is really asleep; notifying without it can land in
+    // the gap and be lost, leaving the task behind a sleeping worker.
+    { std::lock_guard<std::mutex> lock(park_mutex_); }
     park_cv_.notify_one();
   }
 }

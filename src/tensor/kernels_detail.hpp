@@ -30,6 +30,22 @@ inline void require_conv_args(const Tensor& input, const Tensor& weight,
   require(bias.numel() == spec.out_channels, "conv2d: bias shape mismatch");
 }
 
+/// require_conv_args plus the row-restricted entry points' own contract:
+/// `out` is (C_out, H_out, W_out) and [row_begin, row_end) lies within it.
+inline void require_conv_rows_args(const Tensor& input, const Tensor& weight,
+                                   const Tensor& bias, const Conv2dSpec& spec,
+                                   std::size_t row_begin, std::size_t row_end,
+                                   const Tensor& out) {
+  require_conv_args(input, weight, bias, spec);
+  const std::size_t oh = spec.out_extent(input.size(1));
+  const std::size_t ow = spec.out_extent(input.size(2));
+  require(out.dim() == 3 && out.size(0) == spec.out_channels &&
+              out.size(1) == oh && out.size(2) == ow,
+          "conv2d_rows: output shape mismatch");
+  require(row_begin <= row_end && row_end <= oh,
+          "conv2d_rows: row range out of bounds");
+}
+
 /// One guarded (border) output cell: the exact per-cell loop of the
 /// reference kernel over raw pointers — same tap-skip conditions, same
 /// ic→ky→kx accumulation chain, so border cells are bitwise identical too.

@@ -26,15 +26,11 @@ void conv2d_rows_reference(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec,
                            std::size_t row_begin, std::size_t row_end,
                            Tensor& out) {
-  require_conv_args(input, weight, bias, spec);
+  detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
+                                 out);
   const std::size_t h = input.size(1), w = input.size(2);
-  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t ow = spec.out_extent(w);
   const std::size_t k = spec.kernel;
-  require(out.dim() == 3 && out.size(0) == spec.out_channels &&
-              out.size(1) == oh && out.size(2) == ow,
-          "conv2d_rows: output shape mismatch");
-  require(row_begin <= row_end && row_end <= oh,
-          "conv2d_rows: row range out of bounds");
 
   for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
     const float b = bias[oc];
@@ -72,15 +68,11 @@ using detail::conv_cell_guarded;
 void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out) {
-  require_conv_args(input, weight, bias, spec);
+  detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
+                                 out);
   const std::size_t h = input.size(1), w = input.size(2);
   const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
   const std::size_t k = spec.kernel, s = spec.stride, p = spec.padding;
-  require(out.dim() == 3 && out.size(0) == spec.out_channels &&
-              out.size(1) == oh && out.size(2) == ow,
-          "conv2d_rows: output shape mismatch");
-  require(row_begin <= row_end && row_end <= oh,
-          "conv2d_rows: row range out of bounds");
 
   // Interior output ranges: cells whose k×k window lies fully inside the
   // input, i.e. o*s - p >= 0 and o*s - p + k <= extent. Everything outside

@@ -78,12 +78,19 @@ void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);
 
-/// Vectorized kernel (SSE2 baseline, AVX2/NEON behind compile guards): the
-/// k==3/s==1 interior computes four output cells per step, each lane
-/// running the fast kernel's exact bias + 9-tap accumulation chain, with
-/// the scalar fast path covering borders, tails, and every other shape.
-/// Bitwise identical to conv2d_rows_fast (the build disables FP
-/// contraction on this kernel's translation unit).
+/// Vectorized kernel (SSE2 baseline, AVX2 dispatched at runtime, NEON behind
+/// a compile guard). Every lane runs the fast kernel's exact bias + tap
+/// accumulation chain for one output value:
+///   - k==3, stride 1 (the stems): lane per output cell; the interior
+///     computes four (SSE2/NEON) or eight (AVX2) adjacent cells per step,
+///     and borders and tails run the scalar chain.
+///   - k==3, stride >= 2 (the learned gate's convs; x86 only): lane per
+///     output channel over weights repacked as [ic][ky][kx][oc] and padded
+///     to eight channels; border cells skip out-of-bounds taps like the
+///     guarded scalar cell, so they run the same vector loop.
+/// Every other shape runs conv2d_rows_fast. Bitwise identical to
+/// conv2d_rows_fast (the build disables FP contraction on this kernel's
+/// translation unit).
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);

@@ -172,15 +172,11 @@ std::vector<std::int8_t>& quantized_input_buffer() {
 void conv2d_rows_int8(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out) {
-  detail::require_conv_args(input, weight, bias, spec);
+  detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
+                                 out);
   const std::size_t h = input.size(1), w = input.size(2);
   const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
   const std::size_t k = spec.kernel, s = spec.stride, p = spec.padding;
-  detail::require(out.dim() == 3 && out.size(0) == spec.out_channels &&
-                      out.size(1) == oh && out.size(2) == ow,
-                  "conv2d_rows: output shape mismatch");
-  detail::require(row_begin <= row_end && row_end <= oh,
-                  "conv2d_rows: row range out of bounds");
 
   const std::shared_ptr<const QuantConvPlan> plan = quant_conv_plan(weight);
 

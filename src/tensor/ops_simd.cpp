@@ -1,28 +1,51 @@
 // Vectorized conv2d_rows kernel (Backend::kSimd).
 //
-// Strategy: lane-per-output-cell. The k==3 / stride==1 interior computes
-// four (SSE2/NEON) or eight (AVX2) adjacent output cells at once; every
-// lane executes conv2d_rows_fast's exact accumulation chain —
+// Every lane executes conv2d_rows_fast's exact accumulation chain —
 //
 //   acc = bias; acc = acc + in[tap] * w[tap];   (taps in ic→ky→kx order)
 //
-// — as one vector register, so lane l's float stream is bit-for-bit the
-// scalar stream of output cell ox+l (IEEE add/mul are exactly rounded per
+// — as one vector register, so each lane's float stream is bit-for-bit the
+// scalar stream of its output cell (IEEE add/mul are exactly rounded per
 // lane, and this translation unit is compiled with -ffp-contract=off so no
-// FMA contraction can perturb the chain). With stride 1 the lane loads are
-// four consecutive cells' taps, i.e. an unaligned contiguous load at the
-// scalar tap pointer. Borders, lane tails, and every other (k, stride)
-// shape run the scalar fast kernel unchanged.
+// FMA contraction can perturb the chain). Two 3×3 shapes are vectorized:
+//
+//   stride 1 (the stems): lane-per-output-cell. The interior computes four
+//   (SSE2/NEON) or eight (AVX2) adjacent output cells at once; the lane
+//   loads are consecutive cells' taps, i.e. an unaligned contiguous load at
+//   the scalar tap pointer. Borders and lane tails run the scalar chain.
+//
+//   stride >= 2 (the learned gate's convs, x86 only): lane-per-output-
+//   channel. Weights are repacked as [ic][ky][kx][oc], zero-padded to
+//   eight channels, so one tap's weights for consecutive output channels
+//   are one vector load; the input tap is broadcast. Out-of-bounds taps are
+//   skipped by the position test of detail::conv_cell_guarded, so border
+//   cells run the same vector loop, and only the real channels are stored.
+//
+// Every other (k, stride) shape runs the scalar fast kernel unchanged.
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
+#include "tensor/backend.hpp"
 #include "tensor/kernels_detail.hpp"
 #include "tensor/ops.hpp"
 
 #if defined(__SSE2__)
-#include <emmintrin.h>
+#include <immintrin.h>
 #elif defined(__ARM_NEON)
 #include <arm_neon.h>
+#endif
+
+// AVX2 function variants are compiled on any x86-64 GNU-compatible
+// toolchain (the target attribute lifts the baseline per function); they
+// are only *called* when the CPU reports AVX2.
+#if defined(__SSE2__) && defined(__x86_64__) && defined(__GNUC__)
+#define ECO_HAVE_AVX2_VARIANTS 1
+#if defined(__AVX2__)
+#define ECO_AVX2_TARGET
+#else
+#define ECO_AVX2_TARGET __attribute__((target("avx2")))
+#endif
 #endif
 
 namespace eco::tensor {
@@ -115,26 +138,207 @@ inline void conv3x1_interior_span(const float* in_y, const float* w_oc,
   }
 }
 
+#if defined(__SSE2__)
+/// Output channels are packed in groups of this many lanes: one AVX2
+/// register, two SSE2 registers.
+constexpr std::size_t kOcLanes = 8;
+/// Channels one cell pass accumulates at once (four AVX2 / eight SSE2
+/// accumulators); wider layers take several passes over the taps.
+constexpr std::size_t kOcPass = 32;
+
+/// One output cell of a lane-per-output-channel pass over NB registers of
+/// four channels: lane c of register b runs output channel 4b + c's chain.
+/// `in` is the cell's first in-bounds tap in input channel 0 and `wp` its
+/// packed weights; the ny × nx in-bounds taps of each input channel are
+/// visited in ky→kx order, channel after channel. kFull fixes the window at
+/// 3 × 3 (every interior cell) so the tap loops unroll.
+template <std::size_t NB, bool kFull>
+void conv3_strided_cell_sse2(const float* in, const float* wp,
+                             const float* bp, std::size_t in_channels,
+                             std::size_t in_plane, std::size_t w,
+                             std::size_t oc_pad, std::size_t ny,
+                             std::size_t nx, float* lanes) {
+  const std::size_t rows = kFull ? 3 : ny, cols = kFull ? 3 : nx;
+  __m128 acc[NB];
+  for (std::size_t b = 0; b < NB; ++b) acc[b] = _mm_loadu_ps(bp + 4 * b);
+  for (std::size_t ic = 0; ic < in_channels;
+       ++ic, in += in_plane, wp += 9 * oc_pad) {
+    for (std::size_t y = 0; y < rows; ++y) {
+      const float* in_row = in + y * w;
+      const float* w_row = wp + 3 * y * oc_pad;
+      for (std::size_t x = 0; x < cols; ++x) {
+        const __m128 tap = _mm_set1_ps(in_row[x]);
+        const float* w_tap = w_row + x * oc_pad;
+        for (std::size_t b = 0; b < NB; ++b) {
+          acc[b] = _mm_add_ps(acc[b],
+                              _mm_mul_ps(tap, _mm_loadu_ps(w_tap + 4 * b)));
+        }
+      }
+    }
+  }
+  for (std::size_t b = 0; b < NB; ++b) _mm_storeu_ps(lanes + 4 * b, acc[b]);
+}
+
+using StridedCellFn = void (*)(const float*, const float*, const float*,
+                               std::size_t, std::size_t, std::size_t,
+                               std::size_t, std::size_t, std::size_t, float*);
+
+/// Cell kernels by [full window][pass width / kOcLanes - 1].
+constexpr StridedCellFn kStridedCellsSse2[2][4] = {
+    {&conv3_strided_cell_sse2<2, false>, &conv3_strided_cell_sse2<4, false>,
+     &conv3_strided_cell_sse2<6, false>, &conv3_strided_cell_sse2<8, false>},
+    {&conv3_strided_cell_sse2<2, true>, &conv3_strided_cell_sse2<4, true>,
+     &conv3_strided_cell_sse2<6, true>, &conv3_strided_cell_sse2<8, true>}};
+
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+/// conv3_strided_cell_sse2 with eight channels per register.
+template <std::size_t NB, bool kFull>
+ECO_AVX2_TARGET void conv3_strided_cell_avx2(
+    const float* in, const float* wp, const float* bp, std::size_t in_channels,
+    std::size_t in_plane, std::size_t w, std::size_t oc_pad, std::size_t ny,
+    std::size_t nx, float* lanes) {
+  const std::size_t rows = kFull ? 3 : ny, cols = kFull ? 3 : nx;
+  __m256 acc[NB];
+  for (std::size_t b = 0; b < NB; ++b) acc[b] = _mm256_loadu_ps(bp + 8 * b);
+  for (std::size_t ic = 0; ic < in_channels;
+       ++ic, in += in_plane, wp += 9 * oc_pad) {
+    for (std::size_t y = 0; y < rows; ++y) {
+      const float* in_row = in + y * w;
+      const float* w_row = wp + 3 * y * oc_pad;
+      for (std::size_t x = 0; x < cols; ++x) {
+        const __m256 tap = _mm256_set1_ps(in_row[x]);
+        const float* w_tap = w_row + x * oc_pad;
+        for (std::size_t b = 0; b < NB; ++b) {
+          acc[b] = _mm256_add_ps(
+              acc[b], _mm256_mul_ps(tap, _mm256_loadu_ps(w_tap + 8 * b)));
+        }
+      }
+    }
+  }
+  for (std::size_t b = 0; b < NB; ++b) {
+    _mm256_storeu_ps(lanes + 8 * b, acc[b]);
+  }
+}
+
+constexpr StridedCellFn kStridedCellsAvx2[2][4] = {
+    {&conv3_strided_cell_avx2<1, false>, &conv3_strided_cell_avx2<2, false>,
+     &conv3_strided_cell_avx2<3, false>, &conv3_strided_cell_avx2<4, false>},
+    {&conv3_strided_cell_avx2<1, true>, &conv3_strided_cell_avx2<2, true>,
+     &conv3_strided_cell_avx2<3, true>, &conv3_strided_cell_avx2<4, true>}};
+#endif  // ECO_HAVE_AVX2_VARIANTS
+
+/// k==3, stride >= 2 rows [row_begin, row_end): lane-per-output-channel.
+/// Arguments are already validated.
+void conv3_strided_rows(const Tensor& input, const Tensor& weight,
+                        const Tensor& bias, const Conv2dSpec& spec,
+                        std::size_t row_begin, std::size_t row_end,
+                        Tensor& out) {
+  if (row_begin == row_end) return;
+  const std::size_t h = input.size(1), w = input.size(2);
+  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t s = spec.stride, p = spec.padding;
+  const std::size_t in_channels = spec.in_channels;
+  const std::size_t out_channels = spec.out_channels;
+  const std::size_t oc_pad =
+      (out_channels + kOcLanes - 1) / kOcLanes * kOcLanes;
+
+  // Scratch: packed weights [ic][ky][kx][oc_pad], bias [oc_pad], then one
+  // cell's accumulated lanes [oc_pad]. Padded channels hold zero weights;
+  // their lanes are computed and never stored.
+  thread_local std::vector<float> scratch;
+  scratch.assign((in_channels * 9 + 2) * oc_pad, 0.0f);
+  float* wp = scratch.data();
+  float* bp = wp + in_channels * 9 * oc_pad;
+  float* lanes = bp + oc_pad;
+  const float* wt = weight.data();
+  for (std::size_t oc = 0; oc < out_channels; ++oc) {
+    bp[oc] = bias[oc];
+    for (std::size_t tap = 0; tap < in_channels * 9; ++tap) {
+      wp[tap * oc_pad + oc] = wt[oc * in_channels * 9 + tap];
+    }
+  }
+
+  const StridedCellFn(*cells)[4] = kStridedCellsSse2;
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+  if (cpu_has_avx2()) cells = kStridedCellsAvx2;
+#endif
+  const float* in = input.data();
+  float* out_data = out.data();
+  const std::size_t in_plane = h * w;
+  const std::size_t out_plane = oh * ow;
+  // The in-bounds taps [lo, hi) of a window starting at `origin` over an
+  // input extent (exactly the taps detail::conv_cell_guarded keeps), and
+  // the input coordinate of tap lo.
+  struct TapRange {
+    std::size_t lo, hi, first;
+  };
+  auto tap_range = [](std::ptrdiff_t origin, std::size_t extent) {
+    const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(extent);
+    const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-origin, 0, 3);
+    const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(n - origin, lo, 3);
+    return TapRange{static_cast<std::size_t>(lo),
+                    static_cast<std::size_t>(hi),
+                    static_cast<std::size_t>(std::max<std::ptrdiff_t>(
+                        origin + lo, 0))};
+  };
+
+  for (std::size_t oy = row_begin; oy < row_end; ++oy) {
+    const TapRange ty = tap_range(static_cast<std::ptrdiff_t>(oy * s) -
+                                      static_cast<std::ptrdiff_t>(p),
+                                  h);
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      const TapRange tx = tap_range(static_cast<std::ptrdiff_t>(ox * s) -
+                                        static_cast<std::ptrdiff_t>(p),
+                                    w);
+      const std::size_t ny = ty.hi - ty.lo, nx = tx.hi - tx.lo;
+      // A window with no in-bounds tap reads nothing; keep its pointer at
+      // the input's start instead of past the end.
+      const float* in_cell =
+          ny == 0 || nx == 0 ? in : in + ty.first * w + tx.first;
+      const float* w_cell = wp + (ty.lo * 3 + tx.lo) * oc_pad;
+      const StridedCellFn* cell_by_width = cells[ny == 3 && nx == 3];
+      for (std::size_t c0 = 0; c0 < oc_pad; c0 += kOcPass) {
+        const std::size_t width = std::min(kOcPass, oc_pad - c0);
+        cell_by_width[width / kOcLanes - 1](in_cell, w_cell + c0, bp + c0,
+                                            in_channels, in_plane, w, oc_pad,
+                                            ny, nx, lanes + c0);
+      }
+      float* out_cell = out_data + oy * ow + ox;
+      for (std::size_t oc = 0; oc < out_channels; ++oc) {
+        out_cell[oc * out_plane] = lanes[oc];
+      }
+    }
+  }
+}
+#endif  // __SSE2__
+
 }  // namespace
 
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out) {
-  // Only the k==3/s==1 shape (every conv in the detection path) has a
-  // vector kernel; everything else is already the scalar fast path.
-  if (spec.kernel != 3 || spec.stride != 1) {
+  // Only 3×3 convs have a vector kernel (stride 1 for the stems, stride
+  // >= 2 for the learned gate); everything else is already the scalar fast
+  // path.
+  if (spec.kernel != 3) {
     conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
     return;
   }
-  detail::require_conv_args(input, weight, bias, spec);
+  if (spec.stride != 1) {
+#if defined(__SSE2__)
+    detail::require_conv_rows_args(input, weight, bias, spec, row_begin,
+                                   row_end, out);
+    conv3_strided_rows(input, weight, bias, spec, row_begin, row_end, out);
+#else
+    conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
+#endif
+    return;
+  }
+  detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
+                                 out);
   const std::size_t h = input.size(1), w = input.size(2);
   const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
   const std::size_t k = spec.kernel, p = spec.padding;
-  detail::require(out.dim() == 3 && out.size(0) == spec.out_channels &&
-                      out.size(1) == oh && out.size(2) == ow,
-                  "conv2d_rows: output shape mismatch");
-  detail::require(row_begin <= row_end && row_end <= oh,
-                  "conv2d_rows: row range out of bounds");
 
   // Interior ranges: identical bounds to conv2d_rows_fast (stride 1).
   const std::size_t oy_lo = std::min(oh, p);

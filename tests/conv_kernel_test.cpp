@@ -1,8 +1,10 @@
 // Pins the raw-pointer fast kernels bitwise against their reference
-// implementations across the awkward geometries: odd extents, stride > 1,
-// padding >= kernel/2 (and beyond the kernel), 1x1 kernels, row-restricted
-// and empty row ranges. The fast kernels' interior/border split must be
-// invisible — Tensor::equals (exact float compare) throughout.
+// implementations, and the simd kernels against fast, across the awkward
+// geometries: odd extents, stride > 1, padding >= kernel/2 (and beyond the
+// kernel), 1x1 kernels, output-channel lane tails, row-restricted and empty
+// row ranges. The fast kernels' interior/border split and the simd lane
+// layouts must be invisible — Tensor::equals (exact float compare)
+// throughout.
 #include <gtest/gtest.h>
 
 #include "detect/rpn.hpp"
@@ -51,13 +53,14 @@ TEST_P(ConvKernelEquivalence, FastMatchesReferenceBitwise) {
       << "k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
       << " h=" << c.h << " w=" << c.w;
 
-  // The simd backend too — the vector interior plus its scalar tail (and
-  // the delegation to fast for stride > 1) must be invisible.
+  // The simd backend too — the stride-1 vector interior plus its scalar
+  // tail, and the stride >= 2 lane-per-output-channel path with its padded
+  // channel lanes, must be invisible.
   Tensor simd({spec.out_channels, oh, ow});
   conv2d_rows_simd(input, weight, bias, spec, 0, oh, simd);
-  EXPECT_TRUE(simd.equals(reference))
-      << "simd k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
-      << " h=" << c.h << " w=" << c.w;
+  EXPECT_TRUE(simd.equals(fast))
+      << "simd oc=" << c.out_channels << " k=" << c.kernel << " s=" << c.stride
+      << " p=" << c.padding << " h=" << c.h << " w=" << c.w;
 
   // The dispatching entry point agrees too (fast path unless the
   // ECO_REFERENCE_KERNELS env pins the reference, which is also exact).
@@ -112,25 +115,32 @@ TEST_P(ConvKernelEquivalence, RowRestrictedRangesMatchAndStayInRange) {
   const std::size_t row_end = oh - oh / 4;
   Tensor fast = Tensor::full({spec.out_channels, oh, ow}, sentinel);
   Tensor reference = Tensor::full({spec.out_channels, oh, ow}, sentinel);
+  Tensor simd = Tensor::full({spec.out_channels, oh, ow}, sentinel);
   conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, fast);
   conv2d_rows_reference(input, weight, bias, spec, row_begin, row_end,
                         reference);
+  conv2d_rows_simd(input, weight, bias, spec, row_begin, row_end, simd);
   EXPECT_TRUE(fast.equals(reference));
-  // Rows outside the range are untouched in both.
+  EXPECT_TRUE(simd.equals(fast));
+  // Rows outside the range are untouched in every kernel.
   for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       if (oy >= row_begin && oy < row_end) continue;
       for (std::size_t ox = 0; ox < ow; ++ox) {
         ASSERT_EQ(fast.at(oc, oy, ox), sentinel);
+        ASSERT_EQ(simd.at(oc, oy, ox), sentinel);
       }
     }
   }
 
   // An empty row range touches nothing at all.
-  Tensor untouched = Tensor::full({spec.out_channels, oh, ow}, sentinel);
+  const Tensor all_sentinel =
+      Tensor::full({spec.out_channels, oh, ow}, sentinel);
+  Tensor untouched = all_sentinel;
   conv2d_rows_fast(input, weight, bias, spec, row_begin, row_begin, untouched);
-  EXPECT_TRUE(untouched.equals(
-      Tensor::full({spec.out_channels, oh, ow}, sentinel)));
+  EXPECT_TRUE(untouched.equals(all_sentinel));
+  conv2d_rows_simd(input, weight, bias, spec, row_begin, row_begin, untouched);
+  EXPECT_TRUE(untouched.equals(all_sentinel));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,7 +172,26 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{2, 1, 3, 1, 1, 6, 5},
         KernelCase{1, 1, 3, 1, 1, 7, 6},
         KernelCase{2, 3, 3, 1, 1, 8, 7},
-        KernelCase{1, 1, 3, 1, 1, 1, 48}));
+        KernelCase{1, 1, 3, 1, 1, 1, 48},
+        // The learned gate's three convs (stride 2, pad 1):
+        // 24x24 -> 12 -> 6 -> 3.
+        KernelCase{32, 24, 3, 2, 1, 24, 24},
+        KernelCase{24, 24, 3, 2, 1, 12, 12},
+        KernelCase{24, 24, 3, 2, 1, 6, 6},
+        // Output-channel lane tails of the stride >= 2 path (channels are
+        // packed eight to a group): below, just under, just over, and one
+        // past four groups, at stride 2 and 3.
+        KernelCase{3, 1, 3, 2, 1, 9, 11},
+        KernelCase{3, 7, 3, 2, 1, 10, 9},
+        KernelCase{2, 9, 3, 2, 0, 8, 13},
+        KernelCase{2, 33, 3, 2, 1, 7, 10},
+        KernelCase{2, 1, 3, 3, 1, 13, 8},
+        KernelCase{3, 7, 3, 3, 2, 11, 11},
+        KernelCase{1, 9, 3, 3, 1, 10, 7},
+        KernelCase{2, 33, 3, 3, 1, 9, 12},
+        // Padding beyond the kernel at stride 2: edge windows hold no
+        // in-bounds tap and reduce to the bias.
+        KernelCase{2, 9, 3, 2, 4, 5, 5}));
 
 TEST(BoxBlurKernelTest, FastMatchesReferenceBitwise) {
   util::Rng rng(4242);

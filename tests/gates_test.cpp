@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "gating/knowledge_gate.hpp"
 #include "gating/learned_gate.hpp"
 #include "gating/loss_gate.hpp"
@@ -117,6 +121,44 @@ TEST(LearnedGateTest, DeterministicForSameSeed) {
   tensor::Tensor features({8, 16, 16});
   for (auto& v : features.vec()) v = rng.uniform_f(0.0f, 1.0f);
   EXPECT_TRUE(a.forward(features).allclose(b.forward(features)));
+}
+
+// End-to-end pin of the learned gates' kernel path: the full-size Deep and
+// Attention gates (32-channel 24x24 F, three stride-2 3x3 convs, 15
+// configurations) on a fixed input must reproduce these float bits, which
+// the scalar conv kernels produced. Every Tier-A backend is bitwise equal,
+// so the pin holds for reference, fast and simd alike.
+std::vector<std::uint32_t> gate_output_bits(bool attention) {
+  LearnedGateConfig config;
+  config.use_attention = attention;
+  LearnedGate gate(config);
+  util::Rng rng(2022);
+  tensor::Tensor features(
+      {config.in_channels, config.in_height, config.in_width});
+  for (auto& v : features.vec()) v = rng.uniform_f(0.0f, 1.0f);
+  GateInput input;
+  input.features = &features;
+  std::vector<std::uint32_t> bits;
+  for (const float loss : gate.predict_losses(input)) {
+    bits.push_back(std::bit_cast<std::uint32_t>(loss));
+  }
+  return bits;
+}
+
+TEST(LearnedGateTest, DeepPredictionsMatchGoldenBits) {
+  const std::vector<std::uint32_t> golden = {
+      0xBF4898F7u, 0x3F325E73u, 0xBF4726F3u, 0x3EC31069u, 0x3E430CA9u,
+      0x3F1BCBCCu, 0xBD812813u, 0xBEE4A5D4u, 0x3F38AA19u, 0xBE085929u,
+      0x3EFBB42Bu, 0x3EC7F96Bu, 0x3E4EA5A1u, 0x3F93B48Fu, 0xBD8D076Du};
+  EXPECT_EQ(gate_output_bits(false), golden);
+}
+
+TEST(LearnedGateTest, AttentionPredictionsMatchGoldenBits) {
+  const std::vector<std::uint32_t> golden = {
+      0xBFA83DAFu, 0x3F4FBFBCu, 0x3F8D4414u, 0x3E26E010u, 0x3FB91DD8u,
+      0x3FF17206u, 0x3E3F1A3Cu, 0xBFCDB23Du, 0x3F8CC802u, 0x3FEF5288u,
+      0x3F213816u, 0xBF56E5A8u, 0xBEF0A89Eu, 0xBFE19BFCu, 0x3FD93095u};
+  EXPECT_EQ(gate_output_bits(true), golden);
 }
 
 }  // namespace

@@ -356,6 +356,57 @@ TEST(ThreadPoolSchedulerTest, StealOffExecutesEverythingWithoutSteals) {
   EXPECT_EQ(pool.stats().steals, 0u);
 }
 
+// A submit that lands while the only worker is between its park-predicate
+// check and its sleep must still wake it; a lost wakeup strands the task
+// behind a sleeping worker and the submitter's wait never returns. One
+// worker and single-task submit -> wait rounds make every submit race the
+// worker's way into park. The watchdog turns a stall into a failure: it
+// nudges the pool with fresh submissions (each one signals the parked
+// worker again) so the rounds can finish and the test reports instead of
+// hanging.
+TEST(ThreadPoolSchedulerTest, SingleWorkerSubmitWaitRoundsNeverStall) {
+  ThreadPoolConfig config;
+  config.workers = 1;
+  ThreadPool pool(config);
+  constexpr int kRounds = 100000;
+  std::atomic<int> completed{0};
+  std::atomic<bool> finished{false};
+  std::thread rounds([&] {
+    TaskGroup group;
+    for (int i = 0; i < kRounds; ++i) {
+      pool.submit(group, [&completed](std::size_t) {
+        completed.fetch_add(1, std::memory_order_relaxed);
+      });
+      group.wait();
+    }
+    finished.store(true, std::memory_order_release);
+  });
+
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kStallLimit = std::chrono::seconds(5);
+  int last_seen = -1;
+  auto last_progress = Clock::now();
+  int stalls = 0;
+  int first_stall_round = -1;
+  while (!finished.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int seen = completed.load(std::memory_order_relaxed);
+    if (seen != last_seen) {
+      last_seen = seen;
+      last_progress = Clock::now();
+    } else if (Clock::now() - last_progress > kStallLimit) {
+      if (stalls++ == 0) first_stall_round = seen;
+      pool.submit([](std::size_t) {});
+    }
+  }
+  rounds.join();
+  pool.wait_idle();
+  EXPECT_EQ(stalls, 0) << "round " << first_stall_round
+                       << "'s task sat behind a parked worker for over 5 s "
+                          "(lost wakeup)";
+  EXPECT_EQ(completed.load(), kRounds);
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline determinism across every scheduling toggle
 // ---------------------------------------------------------------------------
