@@ -1,16 +1,17 @@
 // Header-only stand-in for the subset of Google Benchmark the micro-bench
 // suite uses, selected by CMake (ECO_BENCH_SHIM) when benchmark::benchmark
 // is not installed. It mimics the registration macros, the `for (auto _ :
-// state)` iteration protocol, ->Arg(n) parameterization, and DoNotOptimize,
-// and prints a ns/iteration table — so kernel-level regressions stay
-// visible on bare runners. Timing methodology is simpler than the real
-// library (fixed time budget, no statistical repetitions); absolute numbers
-// are comparable only within one run.
+// state)` iteration protocol, ->Arg(n) parameterization, DoNotOptimize and
+// ClobberMemory, and prints a ns/iteration table — so kernel-level
+// regressions stay visible on bare runners. Timing methodology is simpler
+// than the real library (fixed time budget, no statistical repetitions);
+// absolute numbers are comparable only within one run.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,8 @@ inline void DoNotOptimize(T&& value) {
   asm volatile("" : : "g"(value) : "memory");
 }
 
+inline void ClobberMemory() { asm volatile("" : : : "memory"); }
+
 struct Case {
   std::string name;
   void (*fn)(State&) = nullptr;
@@ -107,9 +110,12 @@ class Registrar {
 
 /// Registration entry point; returning the pointer from a function call
 /// (rather than a bare new-expression) lets ->Arg(...) chain off the
-/// BENCHMARK macro like the real library.
+/// BENCHMARK macro like the real library. The handles live until exit, so
+/// a leak checker sees no lost registration.
 inline Registrar* register_benchmark(const char* name, void (*fn)(State&)) {
-  return new Registrar(name, fn);
+  static std::vector<std::unique_ptr<Registrar>> handles;
+  handles.push_back(std::make_unique<Registrar>(name, fn));
+  return handles.back().get();
 }
 
 inline int run_all() {

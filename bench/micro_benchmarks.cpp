@@ -1,8 +1,8 @@
 // Microbenchmarks of the hot paths: tensor primitives (fast vs reference
 // conv kernels, blur, integral image, arena acquisition), RPN proposal
 // generation, ROI region extraction, weighted box fusion, the full branch
-// detector, gate inference, and a complete adaptive pass. These quantify
-// the simulator's own CPU cost (not the modelled PX2 cost).
+// detector, the stem layer, gate inference, and a complete adaptive pass.
+// These quantify the simulator's own CPU cost (not the modelled PX2 cost).
 //
 // Builds against Google Benchmark when available; otherwise CMake selects
 // the header-only shim (bench/bench_shim.hpp) with the same macros.
@@ -13,6 +13,7 @@
 #endif
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -21,6 +22,7 @@
 #include "dataset/sequence.hpp"
 #include "detect/rpn.hpp"
 #include "detect/scan_scratch.hpp"
+#include "exec/stem_cache.hpp"
 #include "fusion/wbf.hpp"
 #include "gating/learned_gate.hpp"
 #include "tensor/arena.hpp"
@@ -164,17 +166,6 @@ void BM_IntegralImageReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntegralImageReset);
-
-void BM_IntegralImageResetSimd(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kLidar);
-  detect::IntegralImage integral;
-  for (auto _ : state) {
-    integral.reset(grid, tensor::Backend::kSimd);
-    benchmark::DoNotOptimize(integral.height());
-  }
-}
-BENCHMARK(BM_IntegralImageResetSimd);
 
 // The int8 scan chain's stages on the same grid the float blur/integral
 // benches use: symmetric quantization, the 36×-scaled int16 blur, and the
@@ -404,6 +395,60 @@ void BM_GateInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GateInference)->Arg(0)->Arg(1);
+
+// The stem layer on its production shapes, next to BM_GateInference: one
+// sensor's stem conv (1 -> 8 channels, 48x48, 3x3 stride 1, pad 1) on the
+// simd kernel, the four-sensor F through a frame arena, and F through the
+// temporal stem cache.
+void BM_StemConvSimd(benchmark::State& state) {
+  const dataset::Frame frame = test_frame();
+  const auto& grid = frame.grid(dataset::SensorKind::kLidar);
+  util::Rng rng(17);
+  tensor::Conv2dSpec spec;
+  spec.in_channels = 1;
+  spec.out_channels = 8;
+  tensor::Tensor weight({8, 1, 3, 3}), bias({8});
+  for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
+  tensor::Tensor out({8, 48, 48});
+  for (auto _ : state) {
+    tensor::conv2d_rows_simd(grid, weight, bias, spec, 0, 48, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_StemConvSimd);
+
+void BM_StemFeatures(benchmark::State& state) {
+  const dataset::Frame frame = test_frame();
+  const core::EcoFusionEngine engine;
+  tensor::TensorArena arena;
+  for (auto _ : state) {
+    arena.reset();
+    benchmark::DoNotOptimize(
+        engine.stems().gate_features_into(frame, arena).data());
+  }
+}
+BENCHMARK(BM_StemFeatures);
+
+// One iteration = one frame of a 4-frame sequence (fresh sensor noise per
+// frame, as on the benchmark streams); each sequence starts on a fresh
+// cache, so the row averages one miss and three hits.
+void BM_StemCacheFrame(benchmark::State& state) {
+  const core::EcoFusionEngine engine;
+  dataset::SequenceConfig config;
+  config.length = 4;
+  const dataset::Sequence seq =
+      dataset::generate_sequence(dataset::SceneType::kCity, config, 5);
+  std::optional<exec::TemporalStemCache> cache;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == 0) cache.emplace(engine.stems());
+    benchmark::DoNotOptimize(
+        cache->lease_gate_features(1, seq.frames[i])->data());
+    i = (i + 1) % seq.frames.size();
+  }
+}
+BENCHMARK(BM_StemCacheFrame);
 
 // The learned gate's first conv (32 -> 24 channels, 24x24, 3x3 stride 2,
 // pad 1), the largest of its three: scalar fast kernel vs the simd

@@ -152,15 +152,9 @@ KernelDeltas kernel_deltas_vs_reference() {
     deltas.simd =
         std::max(deltas.simd, max_abs_delta(blur_simd, blur_reference));
 
-    // Integral image: simd's two-pass build vs the reference single walk.
-    detect::IntegralImage ref_ii, simd_ii;
-    ref_ii.reset(blur_reference, tensor::Backend::kReference);
-    simd_ii.reset(blur_reference, tensor::Backend::kSimd);
-    const std::size_t cells = (h + 1) * (w + 1);
-    for (std::size_t i = 0; i < cells; ++i) {
-      const double d = std::fabs(ref_ii.table()[i] - simd_ii.table()[i]);
-      if (d > deltas.simd) deltas.simd = d;
-    }
+    // The integral table every backend builds (one single walk).
+    detect::IntegralImage ref_ii;
+    ref_ii.reset(blur_reference);
 
     // Anchor scoring: the vectorized contrast sweep vs the scalar chain
     // over the full precomputed geometry of this grid shape.
@@ -214,7 +208,7 @@ double int8_chain_delta_vs_reference(float act_range) {
     tensor::Tensor blur_reference;
     detect::box_blur3_into_reference(grid, blur_reference);
     detect::IntegralImage ref_ii;
-    ref_ii.reset(blur_reference, tensor::Backend::kReference);
+    ref_ii.reset(blur_reference);
 
     // Quantized chain, exactly as the int8 scan stages it (the calibrated
     // range wins; a zero range falls back to the grid's own max|cell|).
@@ -301,7 +295,7 @@ ScanFps measure_scan_fps(float act_range) {
   const auto chain_simd = [&] {
     for (const GridWork& g : work) {
       detect::box_blur3_into(*g.grid, ss.smoothed, tensor::Backend::kSimd);
-      ss.integral.reset(ss.smoothed, tensor::Backend::kSimd);
+      ss.integral.reset(ss.smoothed);
       ss.contrast.resize(g.plan.geometry.size());
       detect::detail::anchor_contrast_pass_simd(
           ss.integral.table(), g.plan.geometry.data(), g.plan.geometry.size(),

@@ -43,18 +43,6 @@ void set_stem_kernels(tensor::Tensor& weight, tensor::Tensor& bias) {
   bias.zero();
 }
 
-/// ReLU over rows [row_begin, row_end) of a CHW tensor; the per-element
-/// update matches tensor::relu exactly.
-void relu_rows(tensor::Tensor& t, std::size_t row_begin, std::size_t row_end) {
-  const std::size_t c = t.size(0), h = t.size(1), w = t.size(2);
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    float* row0 = t.data() + (ch * h + row_begin) * w;
-    for (std::size_t i = 0; i < (row_end - row_begin) * w; ++i) {
-      row0[i] = row0[i] > 0.0f ? row0[i] : 0.0f;
-    }
-  }
-}
-
 }  // namespace
 
 StemBank::StemBank(StemConfig config) : config_(config) {
@@ -100,11 +88,11 @@ tensor::Tensor StemBank::gate_features(const dataset::Frame& frame) const {
 const tensor::Tensor& StemBank::gate_features_into(
     const dataset::Frame& frame, tensor::TensorArena& arena) const {
   // Conv outputs are acquired with their exact shapes up front so
-  // conv2d_batch never resizes them, then rectified in place and pooled /
+  // conv2d_batch never resizes them, then rectified and pooled /
   // concatenated into further arena tensors. Each step runs the identical
-  // per-cell arithmetic as the allocating pipeline (relu_in_place ==
-  // relu, maxpool2x2_into == maxpool2x2, concat_channels_into ==
-  // concat_channels), so F is bitwise unchanged.
+  // per-cell arithmetic as the allocating pipeline (relu_maxpool2x2_rows
+  // == maxpool2x2(relu), concat_channels_into == concat_channels), so F is
+  // bitwise unchanged.
   std::array<tensor::Tensor*, dataset::kNumSensors> conv_out{};
   std::vector<tensor::Conv2dBatchItem> batch;
   batch.reserve(dataset::kNumSensors);
@@ -121,11 +109,10 @@ const tensor::Tensor& StemBank::gate_features_into(
   std::vector<const tensor::Tensor*> parts;
   parts.reserve(dataset::kNumSensors);
   for (std::size_t s = 0; s < dataset::kNumSensors; ++s) {
-    tensor::relu_in_place(*conv_out[s]);
     tensor::Tensor& pooled = arena.acquire(
         {conv_out[s]->size(0), conv_out[s]->size(1) / 2,
          conv_out[s]->size(2) / 2});
-    tensor::maxpool2x2_into(*conv_out[s], pooled);
+    tensor::relu_maxpool2x2_rows(*conv_out[s], 0, pooled.size(1), pooled);
     parts.push_back(&pooled);
   }
   std::size_t channels = 0;
@@ -136,22 +123,33 @@ const tensor::Tensor& StemBank::gate_features_into(
   return features;
 }
 
+tensor::Shape StemBank::conv_shape(const tensor::Tensor& grid) const {
+  const tensor::Conv2dSpec& spec = stems_.front().spec;
+  return {spec.out_channels, spec.out_extent(grid.size(1)),
+          spec.out_extent(grid.size(2))};
+}
+
+tensor::Shape StemBank::feature_shape(const tensor::Tensor& grid) const {
+  tensor::Shape shape = conv_shape(grid);
+  shape[1] /= 2;
+  shape[2] /= 2;
+  return shape;
+}
+
 void StemBank::refresh_feature_rows(dataset::SensorKind kind,
                                     const tensor::Tensor& grid,
                                     std::size_t row_begin, std::size_t row_end,
-                                    tensor::Tensor& pooled) const {
+                                    tensor::Tensor& pooled,
+                                    tensor::Tensor& conv_scratch) const {
   if (row_begin >= row_end) return;
   const Stem& stem = stems_[static_cast<std::size_t>(kind)];
-  const std::size_t oh = stem.spec.out_extent(grid.size(1));
-  const std::size_t ow = stem.spec.out_extent(grid.size(2));
+  conv_scratch.resize(conv_shape(grid));
   // Pooled row p consumes conv rows 2p and 2p+1.
   const std::size_t conv_begin = row_begin * 2;
-  const std::size_t conv_end = std::min(oh, row_end * 2);
-  tensor::Tensor conv({stem.spec.out_channels, oh, ow});
+  const std::size_t conv_end = std::min(conv_scratch.size(1), row_end * 2);
   tensor::conv2d_rows(grid, stem.weight, stem.bias, stem.spec, conv_begin,
-                      conv_end, conv);
-  relu_rows(conv, conv_begin, conv_end);
-  tensor::maxpool2x2_rows(conv, row_begin, row_end, pooled);
+                      conv_end, conv_scratch);
+  tensor::relu_maxpool2x2_rows(conv_scratch, row_begin, row_end, pooled);
 }
 
 }  // namespace eco::core

@@ -66,14 +66,21 @@ class StemBank {
   [[nodiscard]] const tensor::Tensor& gate_features_into(
       const dataset::Frame& frame, tensor::TensorArena& arena) const;
 
+  /// Shape of one sensor's features for `grid`: (out_channels, H/2, W/2).
+  [[nodiscard]] tensor::Shape feature_shape(const tensor::Tensor& grid) const;
+
   /// Recomputes pooled feature rows [row_begin, row_end) of `kind`'s stem
-  /// for `grid` into `pooled` (shape (out_channels, H/2, W/2)); other rows
-  /// are untouched. The refreshed rows are bitwise identical to what
-  /// features() would produce for them.
+  /// for `grid` into `pooled` (shape feature_shape(grid)); other rows are
+  /// untouched. The refreshed rows are bitwise identical to what features()
+  /// would produce for them. `conv_scratch` holds the conv output: it is
+  /// resized to (out_channels, H, W) — a caller that keeps it refreshes
+  /// without touching the heap — and only the conv rows the refreshed
+  /// pooled rows read are written.
   void refresh_feature_rows(dataset::SensorKind kind,
                             const tensor::Tensor& grid,
                             std::size_t row_begin, std::size_t row_end,
-                            tensor::Tensor& pooled) const;
+                            tensor::Tensor& pooled,
+                            tensor::Tensor& conv_scratch) const;
 
   [[nodiscard]] std::size_t out_channels() const noexcept {
     return config_.out_channels;
@@ -89,6 +96,9 @@ class StemBank {
     tensor::Tensor weight;  // (out_channels, 1, 3, 3)
     tensor::Tensor bias;    // (out_channels)
   };
+
+  /// Shape of one sensor's conv output for `grid`: (out_channels, H, W).
+  [[nodiscard]] tensor::Shape conv_shape(const tensor::Tensor& grid) const;
 
   StemConfig config_;
   std::array<Stem, dataset::kNumSensors> stems_;

@@ -123,7 +123,7 @@ std::vector<Detection> RoiHead::run(const tensor::Tensor& grid,
   const std::vector<Region>& regions = extract_regions(
       grid, threshold, config_.min_component_area, buffers);
 
-  buffers.region_integral.reset(grid, config_.backend);
+  buffers.region_integral.reset(grid);
   const IntegralImage& integral = buffers.region_integral;
   std::vector<Detection> detections;
   detections.reserve(regions.size());

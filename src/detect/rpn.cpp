@@ -24,8 +24,7 @@ tensor::Backend effective_backend(tensor::Backend backend) {
 
 }  // namespace
 
-void IntegralImage::reset(const tensor::Tensor& grid,
-                          tensor::Backend backend) {
+void IntegralImage::reset(const tensor::Tensor& grid) {
   const bool chw = grid.dim() == 3;
   if (chw && grid.size(0) != 1) {
     throw std::invalid_argument("IntegralImage: expected single channel");
@@ -39,29 +38,6 @@ void IntegralImage::reset(const tensor::Tensor& grid,
   cumulative_.assign((height_ + 1) * (width_ + 1), 0.0);
   const float* data = grid.data();
   const std::size_t w1 = width_ + 1;
-  // kInt8 routes to the vector float walk: the quantized integer chain
-  // lives in the RPN propose path; standalone float integral rebuilds
-  // (e.g. the ROI head's amplitude table) stay float under every backend.
-  const tensor::Backend eb = effective_backend(backend);
-  if (eb == tensor::Backend::kSimd || eb == tensor::Backend::kInt8) {
-    // Two passes: the serial row-prefix chain first (current[x+1] holds
-    // this row's running sum), then a vectorized top-to-bottom row add.
-    // The single-pass walk stores above + row; this stores row, then adds
-    // above — one IEEE addition per cell with its operands swapped, so the
-    // tables are bitwise identical.
-    double* current = cumulative_.data() + w1;
-    for (std::size_t y = 0; y < height_; ++y) {
-      const float* grid_row = data + y * width_;
-      double row = 0.0;
-      for (std::size_t x = 0; x < width_; ++x) {
-        row += grid_row[x];
-        current[x + 1] = row;
-      }
-      current += w1;
-    }
-    detail::integral_rows_add_simd(cumulative_.data() + w1, height_, w1);
-    return;
-  }
   const double* above = cumulative_.data();  // row y of the table
   double* current = cumulative_.data() + w1;  // row y + 1
   for (std::size_t y = 0; y < height_; ++y) {
@@ -356,13 +332,13 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
                                       scratch.contrast.data());
   } else if (eb == tensor::Backend::kSimd) {
     box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed, config_.backend);
+    scratch.integral.reset(scratch.smoothed);
     detail::anchor_contrast_pass_simd(scratch.integral.table(),
                                       geometry.data(), anchors.size(),
                                       scratch.contrast.data());
   } else {
     box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed, config_.backend);
+    scratch.integral.reset(scratch.smoothed);
     const IntegralImage& integral = scratch.integral;
     // Scalar scoring against the plan's precomputed geometry: each anchor
     // costs eight table lookups plus the scoring arithmetic — the identical
@@ -429,7 +405,7 @@ std::vector<Proposal> Rpn::propose_with_anchors(
   ScanScratch local;
   ScanScratch& buffers = scratch != nullptr ? *scratch : local;
   box_blur3_into(grid, buffers.smoothed, config_.backend);
-  buffers.integral.reset(buffers.smoothed, config_.backend);
+  buffers.integral.reset(buffers.smoothed);
   const IntegralImage& integral = buffers.integral;
 
   std::vector<Detection>& raw = buffers.raw_detections;

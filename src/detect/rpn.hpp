@@ -36,15 +36,10 @@ class IntegralImage {
   explicit IntegralImage(const tensor::Tensor& grid) { reset(grid); }
 
   /// Rebuilds the cumulative table for `grid`, reusing existing storage
-  /// when it suffices (a same-extent rebuild never touches the heap). The
-  /// reference/fast backends walk raw row pointers in the same
-  /// left-to-right, top-to-bottom order as ever; the simd backend splits
-  /// the walk into a serial row-prefix pass and a vectorized row-add pass,
-  /// which is bitwise identical because the only reassociation is swapping
-  /// the two operands of one IEEE addition per cell. kAuto resolves from
-  /// the environment.
-  void reset(const tensor::Tensor& grid,
-             tensor::Backend backend = tensor::Backend::kAuto);
+  /// when it suffices (a same-extent rebuild never touches the heap). One
+  /// raw row-pointer walk, left to right and top to bottom, on every
+  /// backend.
+  void reset(const tensor::Tensor& grid);
 
   /// Sum of grid values over [x1,x2) x [y1,y2) clamped to bounds.
   [[nodiscard]] double box_sum(const Box& box) const noexcept;
@@ -207,12 +202,6 @@ namespace detail {
 [[nodiscard]] float blur_cell_guarded(const float* g, std::size_t h,
                                       std::size_t w, std::size_t y,
                                       std::size_t x);
-
-/// Integral-image pass 2: for each of `rows` rows (top to bottom), adds the
-/// previous row of the (rows+1)×w1 table elementwise — vectorized within a
-/// row. `table` points at the second table row (the first holds the zero
-/// border).
-void integral_rows_add_simd(double* table, std::size_t rows, std::size_t w1);
 
 /// Anchor-scoring pass 1: contrast of every anchor against its background
 /// ring, two 2-lane gathers + divides at a time (four on AVX2 hardware),

@@ -1,5 +1,5 @@
-// Vectorized detect-side kernels (Backend::kSimd): the 3×3 box blur, the
-// integral image's row-add pass, and the RPN anchor-contrast sweep.
+// Vectorized detect-side kernels (Backend::kSimd): the 3×3 box blur and
+// the RPN anchor-contrast sweep.
 //
 // Same contract as tensor/ops_simd.cpp: lane-per-cell (or lane-per-anchor)
 // vectorization where every lane executes the scalar fast kernel's exact
@@ -145,61 +145,6 @@ void box_blur3_into_simd(const tensor::Tensor& grid, tensor::Tensor& out) {
 }
 
 namespace detail {
-
-#if defined(ECO_HAVE_AVX2_VARIANTS)
-namespace {
-
-ECO_AVX2_TARGET void integral_rows_add_avx2(double* table, std::size_t rows,
-                                            std::size_t w1) {
-  for (std::size_t y = 0; y < rows; ++y) {
-    double* current = table + y * w1;
-    const double* prev = current - w1;
-    std::size_t x = 0;
-    for (; x + 4 <= w1; x += 4) {
-      _mm256_storeu_pd(current + x,
-                       _mm256_add_pd(_mm256_loadu_pd(current + x),
-                                     _mm256_loadu_pd(prev + x)));
-    }
-    for (; x < w1; ++x) {
-      current[x] += prev[x];
-    }
-  }
-}
-
-}  // namespace
-#endif  // ECO_HAVE_AVX2_VARIANTS
-
-void integral_rows_add_simd(double* table, std::size_t rows,
-                            std::size_t w1) {
-  // Rows must accumulate top to bottom (row y needs row y-1's final
-  // values); within a row the adds are independent. Column 0 is the zero
-  // border on both rows, so the vector span covers the full width.
-#if defined(ECO_HAVE_AVX2_VARIANTS)
-  if (tensor::cpu_has_avx2()) {
-    integral_rows_add_avx2(table, rows, w1);
-    return;
-  }
-#endif
-  for (std::size_t y = 0; y < rows; ++y) {
-    double* current = table + y * w1;
-    const double* prev = current - w1;
-    std::size_t x = 0;
-#if defined(__SSE2__)
-    for (; x + 2 <= w1; x += 2) {
-      _mm_storeu_pd(current + x, _mm_add_pd(_mm_loadu_pd(current + x),
-                                            _mm_loadu_pd(prev + x)));
-    }
-#elif defined(__ARM_NEON)
-    for (; x + 2 <= w1; x += 2) {
-      vst1q_f64(current + x,
-                vaddq_f64(vld1q_f64(current + x), vld1q_f64(prev + x)));
-    }
-#endif
-    for (; x < w1; ++x) {
-      current[x] += prev[x];
-    }
-  }
-}
 
 namespace {
 

@@ -32,27 +32,27 @@ FrameWorkspace::FrameWorkspace(const core::EcoFusionEngine& engine,
 }
 
 const tensor::Tensor& FrameWorkspace::gate_features() const {
-  if (features_view_ != nullptr) return *features_view_;
-  if (!features_) {
-    // Span covers the actual stem resolution only (memoized re-reads above
-    // return before it); restaged to a cache-hit span when the temporal
-    // cache resolved F without a full recompute.
-    obs::Span span(obs::Stage::kStemCompute);
-    span.arg(static_cast<double>(sequence_id_));
-    if (stem_cache_ != nullptr) {
-      bool hit = false;
-      features_ = stem_cache_->gate_features(sequence_id_, frame_, &hit);
-      stem_source_ = hit ? StemSource::kCacheHit : StemSource::kCacheMiss;
-      if (hit) span.restage(obs::Stage::kStemCacheHit);
-    } else {
-      // Direct stem pass: compute into the frame arena (bitwise equal to
-      // StemBank::gate_features) and keep a view — the arena outlives the
-      // workspace, and its slots are only recycled at the next frame.
-      features_view_ =
-          &engine_.stems().gate_features_into(frame_, arena_->tensors);
-      stem_source_ = StemSource::kComputed;
-      return *features_view_;
-    }
+  if (features_ != nullptr) return *features_;
+  // Span covers the actual stem resolution only (memoized re-reads above
+  // return before it); restaged to a cache-hit span when the temporal
+  // cache resolved F without a full recompute.
+  obs::Span span(obs::Stage::kStemCompute);
+  span.arg(static_cast<double>(sequence_id_));
+  if (stem_cache_ != nullptr) {
+    // F lives in a buffer leased from the cache, held until the workspace
+    // is destroyed.
+    bool hit = false;
+    cached_features_ =
+        stem_cache_->lease_gate_features(sequence_id_, frame_, &hit);
+    features_ = cached_features_.get();
+    stem_source_ = hit ? StemSource::kCacheHit : StemSource::kCacheMiss;
+    if (hit) span.restage(obs::Stage::kStemCacheHit);
+  } else {
+    // Direct stem pass: compute into the frame arena (bitwise equal to
+    // StemBank::gate_features) and keep a view — the arena outlives the
+    // workspace, and its slots are only recycled at the next frame.
+    features_ = &engine_.stems().gate_features_into(frame_, arena_->tensors);
+    stem_source_ = StemSource::kComputed;
   }
   return *features_;
 }

@@ -30,6 +30,7 @@
 #include "dataset/generator.hpp"
 #include "exec/channel_scan_cache.hpp"
 #include "exec/frame_arena.hpp"
+#include "exec/stem_cache.hpp"
 #include "fusion/wbf.hpp"
 #include "gating/gate.hpp"
 #include "tensor/tensor.hpp"
@@ -39,8 +40,6 @@ class EcoFusionEngine;
 }
 
 namespace eco::exec {
-
-class TemporalStemCache;
 
 /// How a workspace resolved the frame's gate features F.
 enum class StemSource : std::uint8_t {
@@ -158,10 +157,10 @@ class FrameWorkspace final : public gating::FeatureSource {
 
   // Memoized intermediates. `mutable` because FeatureSource::gate_features
   // is const for gate consumers; memoization is the workspace's job.
-  // Arena-computed features live in the arena (features_view_); cache- or
-  // stem-computed ones are owned (features_).
-  mutable std::optional<tensor::Tensor> features_;
-  mutable const tensor::Tensor* features_view_ = nullptr;
+  // F lives in the frame arena (direct pass) or in a buffer leased from
+  // the temporal stem cache; features_ views whichever holds it.
+  mutable TemporalStemCache::Features cached_features_;
+  mutable const tensor::Tensor* features_ = nullptr;
   mutable StemSource stem_source_ = StemSource::kSkipped;
   std::array<std::optional<fusion::DetectionList>, core::kNumBranches>
       branches_;

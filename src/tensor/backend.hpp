@@ -1,7 +1,7 @@
 // Kernel backend seam.
 //
-// Every hot kernel (conv2d_rows, box_blur3, IntegralImage::reset, the RPN
-// anchor-scoring pass) ships in up to four implementations:
+// Every hot kernel (conv2d_rows, box_blur3, the RPN anchor-scoring pass)
+// ships in up to four implementations:
 //
 //   reference — the original guarded loops; ground truth, never removed.
 //   fast      — PR-5's raw-pointer interior/border split; the scalar

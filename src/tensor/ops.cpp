@@ -4,6 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
+
 #include "tensor/kernels_detail.hpp"
 #include "util/env.hpp"
 
@@ -273,14 +277,8 @@ Tensor conv2d_backward(const Tensor& input, const Tensor& weight,
 
 Tensor relu(const Tensor& input) {
   Tensor out = input;
-  relu_in_place(out);
+  for (float& v : out.vec()) v = v > 0.0f ? v : 0.0f;
   return out;
-}
-
-void relu_in_place(Tensor& t) noexcept {
-  float* v = t.data();
-  const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i) v[i] = v[i] > 0.0f ? v[i] : 0.0f;
 }
 
 Tensor relu_backward(const Tensor& input, const Tensor& grad_output) {
@@ -294,35 +292,17 @@ Tensor relu_backward(const Tensor& input, const Tensor& grad_output) {
 }
 
 Tensor maxpool2x2(const Tensor& input) {
-  Tensor out;
-  maxpool2x2_into(input, out);
-  return out;
-}
-
-void maxpool2x2_into(const Tensor& input, Tensor& out) {
   require(input.dim() == 3, "maxpool2x2: input must be CHW");
   const std::size_t c = input.size(0), h = input.size(1), w = input.size(2);
   const std::size_t oh = h / 2, ow = w / 2;
   require(oh > 0 && ow > 0, "maxpool2x2: input too small");
-  out.resize({c, oh, ow});
-  maxpool2x2_rows(input, 0, oh, out);
-}
-
-void maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
-                     std::size_t row_end, Tensor& out) {
-  require(input.dim() == 3 && out.dim() == 3, "maxpool2x2_rows: CHW expected");
-  const std::size_t c = out.size(0), oh = out.size(1), ow = out.size(2);
-  const std::size_t h = input.size(1), w = input.size(2);
-  require(input.size(0) == c && oh <= h / 2 && ow <= w / 2,
-          "maxpool2x2_rows: output shape mismatch");
-  require(row_begin <= row_end && row_end <= oh,
-          "maxpool2x2_rows: row range out of bounds");
+  Tensor out({c, oh, ow});
   const float* in = input.data();
   float* o = out.data();
   for (std::size_t ch = 0; ch < c; ++ch) {
     const float* in_c = in + ch * h * w;
     float* out_c = o + ch * oh * ow;
-    for (std::size_t oy = row_begin; oy < row_end; ++oy) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
       const float* r0 = in_c + (oy * 2) * w;
       const float* r1 = r0 + w;
       float* out_row = out_c + oy * ow;
@@ -333,6 +313,62 @@ void maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
         m = std::max(m, r0[ix + 1]);
         m = std::max(m, r1[ix]);
         m = std::max(m, r1[ix + 1]);
+        out_row[ox] = m;
+      }
+    }
+  }
+  return out;
+}
+
+void relu_maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
+                          std::size_t row_end, Tensor& out) {
+  require(input.dim() == 3 && out.dim() == 3,
+          "relu_maxpool2x2_rows: CHW expected");
+  const std::size_t c = out.size(0), oh = out.size(1), ow = out.size(2);
+  const std::size_t h = input.size(1), w = input.size(2);
+  require(input.size(0) == c && oh <= h / 2 && ow <= w / 2,
+          "relu_maxpool2x2_rows: output shape mismatch");
+  require(row_begin <= row_end && row_end <= oh,
+          "relu_maxpool2x2_rows: row range out of bounds");
+  const auto relu = [](float v) { return v > 0.0f ? v : 0.0f; };
+  const float* in = input.data();
+  float* o = out.data();
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    const float* in_c = in + ch * h * w;
+    float* out_c = o + ch * oh * ow;
+    for (std::size_t oy = row_begin; oy < row_end; ++oy) {
+      const float* r0 = in_c + (oy * 2) * w;
+      const float* r1 = r0 + w;
+      float* out_row = out_c + oy * ow;
+      std::size_t ox = 0;
+#if defined(__SSE2__)
+      // Four cells per step: even/odd input columns deinterleaved.
+      // max(v, 0) is exactly relu (NaN -> 0, -0 -> +0), and
+      // max(x, m) picks what std::max(m, x) picks (m unless m < x, NaN
+      // and signed zeros included).
+      const __m128 zero = _mm_setzero_ps();
+      for (; ox + 4 <= ow; ox += 4) {
+        const std::size_t ix = ox * 2;
+        const __m128 a0 = _mm_loadu_ps(r0 + ix), a1 = _mm_loadu_ps(r0 + ix + 4);
+        const __m128 b0 = _mm_loadu_ps(r1 + ix), b1 = _mm_loadu_ps(r1 + ix + 4);
+        const __m128 top_even = _mm_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
+        const __m128 top_odd = _mm_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
+        const __m128 bot_even = _mm_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
+        const __m128 bot_odd = _mm_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
+        __m128 m = _mm_max_ps(top_even, zero);
+        m = _mm_max_ps(_mm_max_ps(top_odd, zero), m);
+        m = _mm_max_ps(_mm_max_ps(bot_even, zero), m);
+        m = _mm_max_ps(_mm_max_ps(bot_odd, zero), m);
+        _mm_storeu_ps(out_row + ox, m);
+      }
+#endif
+      for (; ox < ow; ++ox) {
+        const std::size_t ix = ox * 2;
+        // maxpool2x2's chain over relu'd cells.
+        float m = relu(r0[ix]);
+        m = std::max(m, relu(r0[ix + 1]));
+        m = std::max(m, relu(r1[ix]));
+        m = std::max(m, relu(r1[ix + 1]));
         out_row[ox] = m;
       }
     }

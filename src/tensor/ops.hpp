@@ -81,9 +81,13 @@ void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
 /// Vectorized kernel (SSE2 baseline, AVX2 dispatched at runtime, NEON behind
 /// a compile guard). Every lane runs the fast kernel's exact bias + tap
 /// accumulation chain for one output value:
-///   - k==3, stride 1 (the stems): lane per output cell; the interior
-///     computes four (SSE2/NEON) or eight (AVX2) adjacent cells per step,
-///     and borders and tails run the scalar chain.
+///   - k==3, stride 1 (the stems): blocks of four (SSE2) or eight (AVX2)
+///     adjacent cells of one row × up to eight output channels — a lane per
+///     cell, a register per channel, one input-tap load feeding every
+///     channel. A row's last block overlaps the previous one; border rows
+///     run the blocks over their in-bounds window rows, and only border
+///     columns take the guarded scalar cell. NEON builds vectorize one
+///     channel at a time, lane per cell, with a scalar tail.
 ///   - k==3, stride >= 2 (the learned gate's convs; x86 only): lane per
 ///     output channel over weights repacked as [ic][ky][kx][oc] and padded
 ///     to eight channels; border cells skip out-of-bounds taps like the
@@ -134,25 +138,22 @@ void conv2d_batch(std::vector<Conv2dBatchItem>& items, const Conv2dSpec& spec);
 
 /// ReLU forward.
 [[nodiscard]] Tensor relu(const Tensor& input);
-/// In-place ReLU; elementwise identical to relu(). Lets arena-backed
-/// pipelines rectify a conv output without a copy.
-void relu_in_place(Tensor& t) noexcept;
 /// ReLU backward: passes gradient where the *input* was positive.
 [[nodiscard]] Tensor relu_backward(const Tensor& input,
                                    const Tensor& grad_output);
 
 /// 2x2 max pooling with stride 2 (floor semantics). input: CHW.
 [[nodiscard]] Tensor maxpool2x2(const Tensor& input);
-/// Same pooling into a caller-owned output (resized when needed; arena
-/// tensors keep their capacity). Bitwise identical to maxpool2x2().
-void maxpool2x2_into(const Tensor& input, Tensor& out);
-/// Row-restricted pooling: output rows [row_begin, row_end) of a
-/// preallocated `out` of shape (C, H/2, W/2); other rows untouched. The
-/// single definition of the per-cell max chain — maxpool2x2_into and the
-/// temporal stem cache's row refresh both run through it, which is what
-/// keeps partial refresh bitwise equal to full pooling.
-void maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
-                     std::size_t row_end, Tensor& out);
+/// ReLU fused into row-restricted pooling: rows [row_begin, row_end) of a
+/// preallocated `out` of shape (C, H/2, W/2) become those of
+/// maxpool2x2(relu(input)), bitwise — each cell is rectified before
+/// maxpool2x2's max chain, so NaN and -0 inputs land exactly as in the
+/// two-pass form — without writing `input`; other rows are untouched.
+/// Four cells per SSE2 step on x86. The stems' single ReLU + pool path:
+/// the direct stem pass and the temporal stem cache's row refresh both run
+/// through it, which keeps partial refresh bitwise equal to a full pass.
+void relu_maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
+                          std::size_t row_end, Tensor& out);
 [[nodiscard]] Tensor maxpool2x2_backward(const Tensor& input,
                                          const Tensor& grad_output);
 

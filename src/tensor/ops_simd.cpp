@@ -9,10 +9,17 @@
 // lane, and this translation unit is compiled with -ffp-contract=off so no
 // FMA contraction can perturb the chain). Two 3×3 shapes are vectorized:
 //
-//   stride 1 (the stems): lane-per-output-cell. The interior computes four
-//   (SSE2/NEON) or eight (AVX2) adjacent output cells at once; the lane
-//   loads are consecutive cells' taps, i.e. an unaligned contiguous load at
-//   the scalar tap pointer. Borders and lane tails run the scalar chain.
+//   stride 1 (the stems): blocks of four (SSE2) or eight (AVX2) adjacent
+//   output cells × up to eight output channels, a lane per cell and a
+//   register per channel. Each tap's input vector (an unaligned contiguous
+//   load at the scalar tap pointer) is loaded once and feeds every
+//   channel's register, so a block runs up to eight independent add chains.
+//   The last block of a row overlaps the previous one instead of leaving a
+//   scalar tail (overlapped cells are recomputed to the same bits). Border
+//   rows run the same blocks over the window rows inside the input — the
+//   rows the guarded cell skips — and only the border columns (and a row
+//   interior narrower than four cells) run detail::conv_cell_guarded. NEON
+//   builds keep a lane-per-cell span of one channel at a time.
 //
 //   stride >= 2 (the learned gate's convs, x86 only): lane-per-output-
 //   channel. Weights are repacked as [ic][ky][kx][oc], zero-padded to
@@ -52,43 +59,17 @@ namespace eco::tensor {
 
 namespace {
 
-/// Vectorized k==3, stride==1 interior span: writes out_row[ox_lo, ox_hi).
-/// `in_y` points at the input row iy0 (already offset for padding).
+#if !defined(__SSE2__)
+/// k==3, stride==1 interior span of one output channel on non-x86 builds:
+/// writes out_row[ox_lo, ox_hi), four cells per NEON vector. `in_y` points
+/// at the input row iy0 (already offset for padding).
 inline void conv3x1_interior_span(const float* in_y, const float* w_oc,
                                   float bias_value, std::size_t in_channels,
                                   std::size_t in_plane, std::size_t w,
                                   std::size_t p, std::size_t ox_lo,
                                   std::size_t ox_hi, float* out_row) {
   std::size_t ox = ox_lo;
-#if defined(__SSE2__)
-  for (; ox + 4 <= ox_hi; ox += 4) {
-    __m128 acc = _mm_set1_ps(bias_value);
-    const float* in_c = in_y + (ox - p);
-    const float* w9 = w_oc;
-    for (std::size_t ic = 0; ic < in_channels;
-         ++ic, in_c += in_plane, w9 += 9) {
-      const float* r0 = in_c;
-      const float* r1 = in_c + w;
-      const float* r2 = in_c + 2 * w;
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(r0), _mm_set1_ps(w9[0])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r0 + 1), _mm_set1_ps(w9[1])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r0 + 2), _mm_set1_ps(w9[2])));
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(r1), _mm_set1_ps(w9[3])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r1 + 1), _mm_set1_ps(w9[4])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r1 + 2), _mm_set1_ps(w9[5])));
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(r2), _mm_set1_ps(w9[6])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r2 + 1), _mm_set1_ps(w9[7])));
-      acc = _mm_add_ps(acc,
-                       _mm_mul_ps(_mm_loadu_ps(r2 + 2), _mm_set1_ps(w9[8])));
-    }
-    _mm_storeu_ps(out_row + ox, acc);
-  }
-#elif defined(__ARM_NEON)
+#if defined(__ARM_NEON)
   for (; ox + 4 <= ox_hi; ox += 4) {
     float32x4_t acc = vdupq_n_f32(bias_value);
     const float* in_c = in_y + (ox - p);
@@ -137,6 +118,7 @@ inline void conv3x1_interior_span(const float* in_y, const float* w_oc,
     out_row[ox] = acc;
   }
 }
+#endif  // !__SSE2__
 
 #if defined(__SSE2__)
 /// Output channels are packed in groups of this many lanes: one AVX2
@@ -310,6 +292,172 @@ void conv3_strided_rows(const Tensor& input, const Tensor& weight,
     }
   }
 }
+
+/// Output channels one stride-1 block accumulates at once (one register
+/// each, so up to eight independent add chains per block).
+constexpr std::size_t kS1Channels = 8;
+
+/// One stride-1 block: four adjacent cells of one output row for NOC
+/// output channels. Lane i of accumulator o runs output channel o's chain
+/// for the block's cell i, and each loaded input-tap vector feeds all NOC
+/// accumulators. `in` points at input channel 0, window row ky_lo, the
+/// block's first tap column; `w` at weight[oc0][0][ky_lo][0]; the window
+/// spans `rows` rows from ky_lo (fewer than three on border rows: the rows
+/// the guarded cell skips are exactly the ones left out).
+template <std::size_t NOC>
+void conv3s1_block_sse2(const float* in, const float* w, const float* bias,
+                        std::size_t in_channels, std::size_t in_plane,
+                        std::size_t in_w, std::size_t w_oc_stride,
+                        std::size_t rows, float* out, std::size_t out_plane) {
+  __m128 acc[NOC];
+  for (std::size_t o = 0; o < NOC; ++o) acc[o] = _mm_set1_ps(bias[o]);
+  for (std::size_t ic = 0; ic < in_channels; ++ic) {
+    for (std::size_t y = 0; y < rows; ++y) {
+      const float* in_row = in + ic * in_plane + y * in_w;
+      const float* w_row = w + ic * 9 + y * 3;
+      for (std::size_t x = 0; x < 3; ++x) {
+        const __m128 tap = _mm_loadu_ps(in_row + x);
+        for (std::size_t o = 0; o < NOC; ++o) {
+          acc[o] = _mm_add_ps(
+              acc[o], _mm_mul_ps(tap, _mm_set1_ps(w_row[o * w_oc_stride + x])));
+        }
+      }
+    }
+  }
+  for (std::size_t o = 0; o < NOC; ++o) {
+    _mm_storeu_ps(out + o * out_plane, acc[o]);
+  }
+}
+
+using S1BlockFn = void (*)(const float*, const float*, const float*,
+                           std::size_t, std::size_t, std::size_t, std::size_t,
+                           std::size_t, float*, std::size_t);
+
+/// Block kernels by channel count - 1.
+constexpr S1BlockFn kS1BlocksSse2[kS1Channels] = {
+    &conv3s1_block_sse2<1>, &conv3s1_block_sse2<2>, &conv3s1_block_sse2<3>,
+    &conv3s1_block_sse2<4>, &conv3s1_block_sse2<5>, &conv3s1_block_sse2<6>,
+    &conv3s1_block_sse2<7>, &conv3s1_block_sse2<8>};
+
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+/// conv3s1_block_sse2 over eight adjacent cells.
+template <std::size_t NOC>
+ECO_AVX2_TARGET void conv3s1_block_avx2(
+    const float* in, const float* w, const float* bias,
+    std::size_t in_channels, std::size_t in_plane, std::size_t in_w,
+    std::size_t w_oc_stride, std::size_t rows, float* out,
+    std::size_t out_plane) {
+  __m256 acc[NOC];
+  for (std::size_t o = 0; o < NOC; ++o) acc[o] = _mm256_set1_ps(bias[o]);
+  for (std::size_t ic = 0; ic < in_channels; ++ic) {
+    for (std::size_t y = 0; y < rows; ++y) {
+      const float* in_row = in + ic * in_plane + y * in_w;
+      const float* w_row = w + ic * 9 + y * 3;
+      for (std::size_t x = 0; x < 3; ++x) {
+        const __m256 tap = _mm256_loadu_ps(in_row + x);
+        for (std::size_t o = 0; o < NOC; ++o) {
+          acc[o] = _mm256_add_ps(
+              acc[o],
+              _mm256_mul_ps(tap, _mm256_set1_ps(w_row[o * w_oc_stride + x])));
+        }
+      }
+    }
+  }
+  for (std::size_t o = 0; o < NOC; ++o) {
+    _mm256_storeu_ps(out + o * out_plane, acc[o]);
+  }
+}
+
+constexpr S1BlockFn kS1BlocksAvx2[kS1Channels] = {
+    &conv3s1_block_avx2<1>, &conv3s1_block_avx2<2>, &conv3s1_block_avx2<3>,
+    &conv3s1_block_avx2<4>, &conv3s1_block_avx2<5>, &conv3s1_block_avx2<6>,
+    &conv3s1_block_avx2<7>, &conv3s1_block_avx2<8>};
+#endif  // ECO_HAVE_AVX2_VARIANTS
+
+/// k==3, stride 1 rows [row_begin, row_end): blocks of adjacent cells ×
+/// up to eight output channels. Arguments are already validated.
+void conv3s1_rows(const Tensor& input, const Tensor& weight,
+                  const Tensor& bias, const Conv2dSpec& spec,
+                  std::size_t row_begin, std::size_t row_end, Tensor& out) {
+  const std::size_t h = input.size(1), w = input.size(2);
+  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+  const std::size_t p = spec.padding;
+  const std::size_t in_channels = spec.in_channels;
+  const std::size_t out_channels = spec.out_channels;
+
+  // Columns whose 3-wide window lies inside the input: [ox_lo, ox_hi), as
+  // in conv2d_rows_fast. They run in blocks of `lanes` cells, the last
+  // block of a row overlapping the previous one; a span narrower than one
+  // vector, and the border columns, run the guarded cell.
+  const std::size_t ox_lo = std::min(ow, p);
+  const std::size_t ox_hi = (w + p >= 3) ? std::min(ow, w + p - 2) : 0;
+  const std::size_t interior = ox_hi > ox_lo ? ox_hi - ox_lo : 0;
+  std::size_t lanes = 0;
+  const S1BlockFn* blocks = nullptr;
+  if (interior >= 4) {
+    lanes = 4;
+    blocks = kS1BlocksSse2;
+  }
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+  if (interior >= 8 && cpu_has_avx2()) {
+    lanes = 8;
+    blocks = kS1BlocksAvx2;
+  }
+#endif
+  const std::size_t span_lo = ox_lo;
+  const std::size_t span_hi = lanes != 0 ? ox_hi : ox_lo;
+
+  const float* in = input.data();
+  const float* wt = weight.data();
+  const float* bp = bias.data();
+  float* out_data = out.data();
+  const std::size_t in_plane = h * w;
+  const std::size_t out_plane = oh * ow;
+  const std::size_t w_oc_stride = in_channels * 9;
+
+  for (std::size_t oy = row_begin; oy < row_end; ++oy) {
+    const std::ptrdiff_t iy0 =
+        static_cast<std::ptrdiff_t>(oy) - static_cast<std::ptrdiff_t>(p);
+    for (std::size_t oc = 0; oc < out_channels; ++oc) {
+      const float* w_oc = wt + oc * w_oc_stride;
+      float* out_row = out_data + oc * out_plane + oy * ow;
+      const auto guarded = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t ox = lo; ox < hi; ++ox) {
+          const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox) -
+                                     static_cast<std::ptrdiff_t>(p);
+          out_row[ox] = detail::conv_cell_guarded(
+              in, w_oc, bp[oc], in_channels, h, w, 3, iy0, ix0);
+        }
+      };
+      guarded(0, span_lo);
+      guarded(span_hi, ow);
+    }
+    if (span_hi == span_lo) continue;
+    // The window rows inside the input: ky in [ky_lo, ky_lo + rows).
+    const std::ptrdiff_t ky_lo = std::clamp<std::ptrdiff_t>(-iy0, 0, 3);
+    const std::ptrdiff_t ky_hi = std::clamp<std::ptrdiff_t>(
+        static_cast<std::ptrdiff_t>(h) - iy0, ky_lo, 3);
+    const auto rows = static_cast<std::size_t>(ky_hi - ky_lo);
+    // Offset of the first in-bounds window row's column 0 (x - p >= 0 for
+    // every block). A window with no row inside the input reads nothing;
+    // its pointer stays in the input's first row.
+    const std::size_t row_offset =
+        rows == 0 ? 0 : static_cast<std::size_t>(iy0 + ky_lo) * w;
+    for (std::size_t oc0 = 0; oc0 < out_channels; oc0 += kS1Channels) {
+      const S1BlockFn block =
+          blocks[std::min(kS1Channels, out_channels - oc0) - 1];
+      const float* w_block =
+          wt + oc0 * w_oc_stride + static_cast<std::size_t>(ky_lo) * 3;
+      float* out_block = out_data + oc0 * out_plane + oy * ow;
+      for (std::size_t x0 = span_lo;; x0 += lanes) {
+        const std::size_t x = std::min(x0, span_hi - lanes);
+        block(in + row_offset + (x - p), w_block, bp + oc0, in_channels,
+              in_plane, w, w_oc_stride, rows, out_block + x, out_plane);
+        if (x + lanes == span_hi) break;
+      }
+    }
+  }
+}
 #endif  // __SSE2__
 
 }  // namespace
@@ -324,14 +472,17 @@ void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
     conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
     return;
   }
-  if (spec.stride != 1) {
 #if defined(__SSE2__)
-    detail::require_conv_rows_args(input, weight, bias, spec, row_begin,
-                                   row_end, out);
+  detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
+                                 out);
+  if (spec.stride == 1) {
+    conv3s1_rows(input, weight, bias, spec, row_begin, row_end, out);
+  } else {
     conv3_strided_rows(input, weight, bias, spec, row_begin, row_end, out);
+  }
 #else
+  if (spec.stride != 1) {
     conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
-#endif
     return;
   }
   detail::require_conv_rows_args(input, weight, bias, spec, row_begin, row_end,
@@ -388,6 +539,7 @@ void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
       }
     }
   }
+#endif
 }
 
 }  // namespace eco::tensor

@@ -7,6 +7,15 @@
 // throughout.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
+
+#include "core/stems.hpp"
+#include "dataset/generator.hpp"
 #include "detect/rpn.hpp"
 #include "detect/scan_scratch.hpp"
 #include "tensor/ops.hpp"
@@ -193,6 +202,145 @@ INSTANTIATE_TEST_SUITE_P(
         // in-bounds tap and reduce to the bias.
         KernelCase{2, 9, 3, 2, 4, 5, 5}));
 
+// The stride-1 blocked path: output channels below, inside and past the
+// eight-channel block ({1, 7, 9, 17}) for 1, 3 and 8 input channels, and
+// interior widths 1-10 around the 4/8-cell vector width, so the guarded
+// narrow span, the single block, and the overlapped last block all run.
+// Heights vary so border rows with one and two window rows show up too.
+std::vector<KernelCase> stride1_block_cases() {
+  std::vector<KernelCase> cases;
+  for (const std::size_t oc : {1, 7, 9, 17}) {
+    for (const std::size_t ic : {1, 3, 8}) {
+      for (std::size_t interior = 1; interior <= 10; ++interior) {
+        cases.push_back({ic, oc, 3, 1, 1, 2 + interior % 4, interior + 2});
+      }
+    }
+  }
+  // Padding 0 (no border column) and 2 (border rows with a single window
+  // row) around the vector widths.
+  for (const std::size_t w : {6, 7, 10, 11, 13}) {
+    cases.push_back({2, 9, 3, 1, 0, 5, w});
+    cases.push_back({3, 9, 3, 1, 2, 4, w});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Stride1Blocks, ConvKernelEquivalence,
+                         ::testing::ValuesIn(stride1_block_cases()));
+
+// A row range holding only a border row: the blocked path clips the window
+// rows (one or two of three) and must write that row alone.
+TEST(ConvKernelBorderRowTest, SimdBorderRowAloneMatchesReference) {
+  for (const std::size_t padding : {1, 2}) {
+    for (const std::size_t oc : {1, 8, 9}) {
+      Conv2dSpec spec;
+      spec.in_channels = 2;
+      spec.out_channels = oc;
+      spec.padding = padding;
+      util::Rng rng(oc * 7 + padding);
+      const Tensor input = random_tensor({2, 9, 21}, rng);
+      const Tensor weight = random_tensor({oc, 2, 3, 3}, rng);
+      const Tensor bias = random_tensor({oc}, rng);
+      const std::size_t oh = spec.out_extent(9), ow = spec.out_extent(21);
+      for (const std::size_t row : {std::size_t{0}, padding - 1, oh - padding,
+                                    oh - 1}) {
+        const float sentinel = 7.75f;
+        Tensor simd = Tensor::full({oc, oh, ow}, sentinel);
+        Tensor reference = Tensor::full({oc, oh, ow}, sentinel);
+        conv2d_rows_simd(input, weight, bias, spec, row, row + 1, simd);
+        conv2d_rows_reference(input, weight, bias, spec, row, row + 1,
+                              reference);
+        EXPECT_TRUE(simd.equals(reference))
+            << "p=" << padding << " oc=" << oc << " row=" << row;
+      }
+    }
+  }
+}
+
+// The stems' fused ReLU + 2x2 max pool against the two-pass form, bit for
+// bit: NaN, signed zeros, infinities and denormals sprinkled in, odd
+// extents (a dropped last row/column), widths below and around the 4-cell
+// vector step, and a row sub-range that must leave other rows and the
+// input untouched.
+TEST(ReluMaxPoolKernelTest, FusedMatchesTwoPassBitwise) {
+  util::Rng rng(3031);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min()};
+  for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {2, 2}, {3, 5}, {4, 8}, {5, 9}, {6, 16}, {7, 17}, {48, 48}}) {
+    Tensor input = random_tensor({3, h, w}, rng);
+    for (std::size_t i = 0; i < input.numel(); i += 5) {
+      input[i] = specials[(i / 5) % std::size(specials)];
+    }
+    const Tensor before = input;
+    const Tensor expected = maxpool2x2(relu(input));
+    const std::size_t oh = h / 2, ow = w / 2;
+    Tensor fused = Tensor::full({3, oh, ow}, 9.5f);
+    relu_maxpool2x2_rows(input, 0, oh, fused);
+    ASSERT_EQ(std::memcmp(fused.data(), expected.data(),
+                          expected.numel() * sizeof(float)),
+              0)
+        << h << "x" << w;
+    ASSERT_EQ(std::memcmp(input.data(), before.data(),
+                          input.numel() * sizeof(float)),
+              0);
+
+    Tensor partial = Tensor::full({3, oh, ow}, 9.5f);
+    const std::size_t row_begin = oh / 2, row_end = oh;
+    relu_maxpool2x2_rows(input, row_begin, row_end, partial);
+    for (std::size_t ch = 0; ch < 3; ++ch) {
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const float want =
+              oy >= row_begin ? expected.at(ch, oy, ox) : 9.5f;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(partial.at(ch, oy, ox)),
+                    std::bit_cast<std::uint32_t>(want));
+        }
+      }
+    }
+  }
+}
+
+// End-to-end pin of the stem kernel path: F of a fixed seed-2022 frame
+// (4 sensors × 8 channels, 24x24) must reproduce the float bits the scalar
+// kernels produced — an FNV-1a hash over every value's bits plus sampled
+// cells. Every Tier-A backend is bitwise equal, so the pin holds under
+// ECO_SIMD=0 and ECO_REFERENCE_KERNELS=1 too.
+TEST(StemGoldenTest, GateFeaturesMatchGoldenBits) {
+  dataset::DatasetConfig config;  // seed 2022
+  const dataset::Frame frame =
+      dataset::generate_frame(dataset::SceneType::kRain, config, 0);
+  const Tensor features = core::StemBank().gate_features(frame);
+  ASSERT_EQ(features.shape(), (Shape{32, 24, 24}));
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t i = 0; i < features.numel(); ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(features[i]);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(hash, 0x825AE59892152162ull);
+  const std::size_t plane = 24 * 24;
+  const auto bits_at = [&](std::size_t channel, std::size_t cell) {
+    return std::bit_cast<std::uint32_t>(features[channel * plane + cell]);
+  };
+  // Corner and centre cells across the four sensors' channel blocks.
+  EXPECT_EQ(bits_at(0, 0), 0x3D8C35FEu);
+  EXPECT_EQ(bits_at(2, 575), 0x3F0F8E97u);
+  EXPECT_EQ(bits_at(8, 300), 0x3EE50B58u);
+  EXPECT_EQ(bits_at(13, 300), 0x3FDD05FEu);
+  EXPECT_EQ(bits_at(18, 0), 0x3DF348C0u);
+  EXPECT_EQ(bits_at(23, 575), 0x3BDB1927u);
+  EXPECT_EQ(bits_at(25, 575), 0x3E434743u);
+  EXPECT_EQ(bits_at(31, 575), 0x3F0989C6u);
+}
+
 TEST(BoxBlurKernelTest, FastMatchesReferenceBitwise) {
   util::Rng rng(4242);
   // Widths straddle the 4-lane interior sweep: below one vector, exact
@@ -209,29 +357,6 @@ TEST(BoxBlurKernelTest, FastMatchesReferenceBitwise) {
     EXPECT_TRUE(fast.equals(reference)) << h << "x" << w;
     EXPECT_TRUE(simd.equals(reference)) << h << "x" << w;
     EXPECT_TRUE(dispatched.equals(reference)) << h << "x" << w;
-  }
-}
-
-TEST(IntegralImageKernelTest, SimdResetMatchesReferenceBitwise) {
-  util::Rng rng(9911);
-  // The simd reset's serial-prefix + vectorized-row-add split must land on
-  // the identical table for every extent, including widths below the
-  // 2-double SSE vector and single-row/single-column grids.
-  for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {5, 4}, {13, 29},
-           {48, 48}}) {
-    const Tensor grid = random_tensor({1, h, w}, rng, 0.0f, 2.0f);
-    detect::IntegralImage reference, fast, simd;
-    reference.reset(grid, Backend::kReference);
-    fast.reset(grid, Backend::kFast);
-    simd.reset(grid, Backend::kSimd);
-    const std::size_t cells = (h + 1) * (w + 1);
-    for (std::size_t i = 0; i < cells; ++i) {
-      ASSERT_EQ(fast.table()[i], reference.table()[i])
-          << h << "x" << w << " cell " << i;
-      ASSERT_EQ(simd.table()[i], reference.table()[i])
-          << h << "x" << w << " cell " << i;
-    }
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -282,6 +284,109 @@ TEST(TemporalStemCacheTest, EvictionFallsBackToExactRecompute) {
   for (std::size_t i = 0; i < recomputed.numel(); ++i) {
     ASSERT_EQ(recomputed[i], fresh[i]);
   }
+}
+
+// Bytewise equality of two tensors (shape and every float's bits — NaN
+// and -0 included).
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// The generator renders fresh sensor noise per frame, so every row of every
+// grid changes between frames: each hit refreshes every pooled row and
+// reuses no map. That is the case the benchmark streams run.
+TEST(TemporalStemCacheTest, EveryRowDirtySequenceStaysBitwiseExact) {
+  const auto seq = test_sequence(dataset::SceneType::kRain, 5, 3);
+  TemporalStemCache cache(engine().stems());
+  for (const dataset::Frame& frame : seq.frames) {
+    const auto cached = cache.lease_gate_features(11, frame);
+    ASSERT_TRUE(same_bits(*cached, engine().stems().gate_features(frame)));
+  }
+  const StemCacheCounters counters = cache.counters();
+  const std::uint64_t hits = seq.frames.size() - 1;
+  const std::uint64_t pooled_rows =
+      engine().stems().feature_shape(seq.frames[0].sensor_grids[0])[1];
+  EXPECT_EQ(counters.hits, hits);
+  EXPECT_EQ(counters.reused_sensor_maps, 0u);
+  EXPECT_EQ(counters.refreshed_rows, hits * dataset::kNumSensors * pooled_rows);
+}
+
+// Entries are refreshed in place and F (which doubles as the conv
+// scratch) lives in a pooled buffer: once frame 0 (miss) and frame 1 (first
+// hit) have warmed the entry and the pool, later frames allocate no tensor
+// buffer.
+TEST(TemporalStemCacheTest, WarmedHitsMakeZeroTensorAllocations) {
+  const auto seq = test_sequence(dataset::SceneType::kCity, 6, 4);
+  TemporalStemCache cache(engine().stems());
+  std::uint64_t allocs_before = 0;
+  for (std::size_t i = 0; i < seq.frames.size(); ++i) {
+    if (i == 2) allocs_before = tensor::tensor_alloc_count();
+    bool hit = false;
+    (void)cache.lease_gate_features(5, seq.frames[i], &hit);
+    EXPECT_EQ(hit, i > 0);
+  }
+  EXPECT_EQ(tensor::tensor_alloc_count() - allocs_before, 0u);
+}
+
+// A workspace holds its F lease until it is destroyed, and the buffer then
+// serves the next frame: past a two-frame warm-up, resolving F through
+// workspaces over the cache allocates no tensor buffer, and F stays exact.
+TEST(TemporalStemCacheTest, WorkspaceLeaseReturnsItsBuffer) {
+  const auto seq = test_sequence(dataset::SceneType::kMotorway, 5, 6);
+  TemporalStemCache cache(engine().stems());
+  FrameArena arena;
+  std::uint64_t stem_allocs = 0;
+  for (std::size_t i = 0; i < seq.frames.size(); ++i) {
+    FrameWorkspace ws(engine(), seq.frames[i], &cache, 8, true, &arena);
+    const std::uint64_t before = tensor::tensor_alloc_count();
+    const tensor::Tensor& features = ws.gate_features();
+    if (i >= 2) stem_allocs += tensor::tensor_alloc_count() - before;
+    ASSERT_TRUE(same_bits(features,
+                          engine().stems().gate_features(seq.frames[i])));
+    EXPECT_EQ(ws.stem_source(),
+              i == 0 ? StemSource::kCacheMiss : StemSource::kCacheHit);
+  }
+  EXPECT_EQ(stem_allocs, 0u);
+}
+
+// An evicted entry's storage serves the next miss: a new sequence after an
+// eviction recomputes exactly without allocating.
+TEST(TemporalStemCacheTest, EvictedStorageServesTheNextMiss) {
+  const auto seq = test_sequence(dataset::SceneType::kSnow, 3);
+  StemCacheConfig config;
+  config.max_sequences = 1;
+  TemporalStemCache cache(engine().stems(), config);
+  (void)cache.lease_gate_features(1, seq.frames[0]);
+  (void)cache.lease_gate_features(2, seq.frames[1]);  // evicts 1
+  const std::uint64_t allocs_before = tensor::tensor_alloc_count();
+  bool hit = true;
+  const auto f = cache.lease_gate_features(3, seq.frames[2], &hit);  // evicts 2
+  EXPECT_EQ(tensor::tensor_alloc_count() - allocs_before, 0u);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(same_bits(*f, engine().stems().gate_features(seq.frames[2])));
+}
+
+// Hostile input: one sensor goes all-NaN mid-sequence, then recovers. The
+// NaN grid differs from its predecessor in every row and so does the
+// recovered grid from the NaN one, so no stale row may be served: every
+// frame matches a fresh stem pass bit for bit.
+TEST(TemporalStemCacheTest, SensorGoingNanAndRecoveringServesNoStaleRows) {
+  auto seq = test_sequence(dataset::SceneType::kFog, 6, 9);
+  const auto lidar = static_cast<std::size_t>(dataset::SensorKind::kLidar);
+  for (const std::size_t i : {std::size_t{2}, std::size_t{3}}) {
+    seq.frames[i].sensor_grids[lidar].fill(
+        std::numeric_limits<float>::quiet_NaN());
+  }
+  TemporalStemCache cache(engine().stems());
+  for (std::size_t i = 0; i < seq.frames.size(); ++i) {
+    const auto cached = cache.lease_gate_features(21, seq.frames[i]);
+    EXPECT_TRUE(same_bits(*cached,
+                          engine().stems().gate_features(seq.frames[i])))
+        << "frame " << i;
+  }
+  // Frame 3 repeats frame 2's NaN grid bit for bit: that map is reused.
+  EXPECT_EQ(cache.counters().reused_sensor_maps, 1u);
 }
 
 // Batched execution seeds each frame's scan cache with every channel scan
