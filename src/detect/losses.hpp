@@ -3,7 +3,7 @@
 // predictions Y-hat, following Faster R-CNN [19]. Unmatched ground truth
 // (misses) and unmatched detections (false positives) carry penalties so the
 // loss reflects full detection quality, not only matched pairs — this is the
-// quantity the gate model learns to predict per configuration.
+// value the gate model learns to predict per configuration.
 #pragma once
 
 #include <vector>

@@ -7,7 +7,6 @@
 #include "detect/nms.hpp"
 #include "detect/scan_scratch.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/quant.hpp"
 
 namespace eco::detect {
 
@@ -182,8 +181,6 @@ void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
       return;
     case tensor::Backend::kAuto:  // effective_backend never returns kAuto
     case tensor::Backend::kSimd:
-    case tensor::Backend::kInt8:  // float entry point: the quantized blur
-                                  // runs only inside the propose path
       box_blur3_into_simd(grid, out);
       return;
   }
@@ -207,14 +204,6 @@ std::vector<Proposal> Rpn::propose(const tensor::Tensor& grid,
         scratch->plan_for(grid.size(1), grid.size(2), config_);
     return propose_with_plan(grid, plan, *scratch);
   }
-  // The quantized chain exists only in the plan path; a scratchless int8
-  // propose routes through a local scratch so every int8 scan — scratch or
-  // not — runs the identical Tier-B arithmetic.
-  if (effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    ScanScratch local;
-    const ScanPlan& plan = local.plan_for(grid.size(1), grid.size(2), config_);
-    return propose_with_plan(grid, plan, local);
-  }
   return propose_with_anchors(
       grid, generate_anchors(grid.size(1), grid.size(2), config_.anchors),
       nullptr);
@@ -227,13 +216,6 @@ std::vector<std::vector<Proposal>> Rpn::propose_batch(
   proposals.reserve(grids.size());
   std::vector<Box> anchors;
   std::size_t anchor_h = 0, anchor_w = 0;
-  // Like propose(): int8 always runs the plan path (local scratch reused
-  // across the batch when the caller supplied none).
-  ScanScratch int8_local;
-  if (scratch == nullptr &&
-      effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    scratch = &int8_local;
-  }
   for (const tensor::Tensor* grid : grids) {
     if (grid == nullptr || grid->dim() != 3 || grid->size(0) != 1) {
       throw std::invalid_argument("Rpn::propose_batch: expected (1,H,W) grid");
@@ -298,47 +280,19 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   raw.clear();
 
   // Two passes on every backend: a branch-light contrast sweep over all
-  // anchors into scratch.contrast (vectorized on kSimd, the quantized
-  // integer chain on kInt8, scalar otherwise), then a shared threshold/
-  // sigmoid walk over the ~3% that pass. Staging through the same buffer
-  // on every backend keeps the downstream candidate/emit/NMS flow — and
-  // the scratch footprint the arena reports — structurally identical.
+  // anchors into scratch.contrast (vectorized on kSimd, scalar otherwise),
+  // then a shared threshold/sigmoid walk over the ~3% that pass. Staging
+  // through the same buffer on every backend keeps the downstream
+  // candidate/emit/NMS flow — and the scratch footprint the arena reports —
+  // structurally identical.
+  box_blur3_into(grid, scratch.smoothed, config_.backend);
+  scratch.integral.reset(scratch.smoothed);
   scratch.contrast.resize(anchors.size());
-  if (eb == tensor::Backend::kInt8) {
-    // Tier-B chain: quantize → 36×-scaled integer blur → int32 integral →
-    // reciprocal-area contrast. The float smoothed/integral buffers are
-    // not touched at all — the whole per-scan cost between the raw grid
-    // and the contrast array is integer arithmetic plus one double
-    // expression per anchor (no divides anywhere).
-    const std::size_t h = grid.size(1), w = grid.size(2);
-    const float range = config_.act_range > 0.0f
-                            ? config_.act_range
-                            : tensor::max_abs(grid.data(), grid.numel());
-    scratch.quantized.resize(h * w);
-    detail::quantize_grid_int8(grid.data(), h * w,
-                               tensor::inverse_scale(range),
-                               scratch.quantized.data());
-    scratch.blurred_q.resize(h * w);
-    detail::box_blur3_int8(scratch.quantized.data(), h, w,
-                           scratch.blurred_q.data());
-    scratch.integral_q.resize((h + 1) * (w + 1));
-    detail::integral_int32(scratch.blurred_q.data(), h, w,
-                           scratch.integral_q.data());
-    const double dequant =
-        static_cast<double>(tensor::symmetric_scale(range)) / 36.0;
-    // Plan-driven sweep: streaming runs + gather leftovers, bitwise equal
-    // to the plain gather pass over the full geometry array.
-    detail::anchor_contrast_pass_int8(scratch.integral_q.data(), plan, dequant,
-                                      scratch.contrast.data());
-  } else if (eb == tensor::Backend::kSimd) {
-    box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed);
+  if (eb == tensor::Backend::kSimd) {
     detail::anchor_contrast_pass_simd(scratch.integral.table(),
                                       geometry.data(), anchors.size(),
                                       scratch.contrast.data());
   } else {
-    box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed);
     const IntegralImage& integral = scratch.integral;
     // Scalar scoring against the plan's precomputed geometry: each anchor
     // costs eight table lookups plus the scoring arithmetic — the identical
@@ -369,7 +323,7 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   // through scratch.candidates to keep the arena footprint backend-invariant.
   scratch.candidates.clear();
   const auto threshold = static_cast<double>(config_.min_contrast);
-  if (eb == tensor::Backend::kSimd || eb == tensor::Backend::kInt8) {
+  if (eb == tensor::Backend::kSimd) {
     detail::collect_candidates_simd(scratch.contrast.data(), anchors.size(),
                                     threshold, scratch.candidates);
   } else {
@@ -389,16 +343,6 @@ std::vector<Proposal> Rpn::propose_with_anchors(
     const tensor::Tensor& grid, const std::vector<Box>& anchors,
     ScanScratch* scratch) const {
   const std::size_t h = grid.size(1), w = grid.size(2);
-
-  // Anchors are a pure function of (extent, config), so the plan's anchor
-  // grid equals the caller's; int8 reroutes through the plan path so the
-  // Tier-B arithmetic has a single definition.
-  if (effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    ScanScratch local;
-    ScanScratch& buffers = scratch != nullptr ? *scratch : local;
-    const ScanPlan& plan = buffers.plan_for(h, w, config_);
-    return propose_with_plan(grid, plan, buffers);
-  }
 
   // With scratch, the smoothed grid and the integral table reuse the
   // caller's buffers; the arithmetic is identical either way.

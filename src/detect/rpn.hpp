@@ -97,14 +97,6 @@ struct RpnConfig {
   /// participates in equality so plan-cache keys and scan-equivalence
   /// never alias configs that run different code paths.
   tensor::Backend backend = tensor::Backend::kAuto;
-  /// Calibrated activation range for the int8 backend (max|cell| over the
-  /// engine's calibration stream); stamped by the engine at construction.
-  /// 0 means "uncalibrated" — the quantized scan then scales against the
-  /// current grid's own max|cell|, which is still self-deterministic (the
-  /// scale is a pure function of the grid). Unused by Tier-A backends, but
-  /// it participates in equality so plan-cache keys and scan-equivalence
-  /// never alias differently-calibrated scans.
-  float act_range = 0.0f;
 
   /// Exact equality over every field — the channel-scan plan uses this to
   /// prove two channels' scans interchangeable, so new fields participate
@@ -218,49 +210,6 @@ void anchor_contrast_pass_simd(const double* table,
 void collect_candidates_simd(const double* contrast, std::size_t count,
                              double threshold,
                              std::vector<std::uint32_t>& out);
-
-// ---- int8 (Tier B) scan chain --------------------------------------
-// The quantized RPN path: grid → int8 codes → 36×-scaled integer blur →
-// int32 integral → contrast. All integer stages are exact (associative)
-// arithmetic; the contrast stage is the single float/double expression
-// that dequantizes. Self-deterministic, not bitwise vs the float chain.
-
-/// Quantizes a float grid to int8 codes (round-half-away, saturate ±127)
-/// held in int16 storage for the vector blur. inv_scale is 127/range, or
-/// 0 to map everything to code 0 (a zero-range grid).
-void quantize_grid_int8(const float* grid, std::size_t count, float inv_scale,
-                        std::int16_t* out);
-
-/// 3×3 box blur over int8 codes, scaled by 36: interior cells sum nine
-/// taps ×4, border cells sum their n valid taps ×(36/n) — n ∈ {1,2,3,4,6,9}
-/// all divide 36, so every cell is exact and |out| ≤ 127·36 = 4572 (int16).
-/// The uniform ×36 scaling replaces the float blur's per-cell divide and
-/// folds into the contrast pass's single dequant factor scale/36.
-void box_blur3_int8(const std::int16_t* q, std::size_t h, std::size_t w,
-                    std::int16_t* out);
-
-/// (h+1)×(w+1) int32 cumulative table over the 36×-scaled blur (max |sum|
-/// ≈ 4572·h·w, far inside int32 for the grids this repo scans).
-void integral_int32(const std::int16_t* blurred, std::size_t h, std::size_t w,
-                    std::int32_t* table);
-
-/// Contrast sweep on the integer integral: per anchor, two exact int32
-/// box sums, then one double expression using the plan's precomputed
-/// reciprocal areas — dequant·(inner·inv_inner − (ring−inner)·inv_ring) —
-/// with dequant = scale/36. No divides in the loop.
-void anchor_contrast_pass_int8(const std::int32_t* table,
-                               const AnchorGeometry* geometry,
-                               std::size_t count, double dequant,
-                               double* contrast_out);
-
-/// Plan-driven contrast sweep: scores the plan's streaming runs with
-/// contiguous vector loads (same-shape anchors along a row read adjacent
-/// table entries — see ScanPlan::int8_runs) and routes the leftover
-/// ranges through the gather overload above. Per anchor this is the exact
-/// operation chain of the gather pass, so the two overloads produce
-/// bitwise-identical contrast arrays.
-void anchor_contrast_pass_int8(const std::int32_t* table, const ScanPlan& plan,
-                               double dequant, double* contrast_out);
 
 }  // namespace detail
 

@@ -1,9 +1,9 @@
 // Named counters/gauges and fixed-bucket log₂ histograms.
 //
 // The runtime's determinism contract splits telemetry into two families:
-// *modeled* quantities (modeled latency, batch sizes, scan dedup ratios)
+// *modeled* values (modeled latency, batch sizes, scan dedup ratios)
 // that must stay bitwise identical across worker and shard counts, and
-// *wall-clock* quantities that are observability-only. Histograms here
+// *wall-clock* values that are observability-only. Histograms here
 // serve both, because the representation is deterministic by construction:
 //
 //   * Bucketing uses the value's binary exponent (std::frexp) — bucket i

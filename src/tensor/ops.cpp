@@ -191,9 +191,6 @@ void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
     case Backend::kFast:
       conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
       return;
-    case Backend::kInt8:
-      conv2d_rows_int8(input, weight, bias, spec, row_begin, row_end, out);
-      return;
     case Backend::kAuto:  // resolve_backend never returns kAuto
     case Backend::kSimd:
       conv2d_rows_simd(input, weight, bias, spec, row_begin, row_end, out);

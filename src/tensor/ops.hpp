@@ -22,13 +22,6 @@ struct Conv2dSpec {
   /// Kernel backend for conv2d_rows; kAuto resolves from the environment
   /// (engines stamp a concrete backend at construction).
   Backend backend = Backend::kAuto;
-  /// Calibrated activation range for the int8 backend: max|input| observed
-  /// over the calibration stream, stamped by the engine at construction.
-  /// 0 means "uncalibrated" — the int8 kernel then derives the scale from
-  /// the whole current input (dynamic quantization), which keeps full and
-  /// row-restricted convolutions of one input bitwise consistent. Unused
-  /// by the Tier-A backends.
-  float act_range = 0.0f;
 
   [[nodiscard]] std::size_t out_extent(std::size_t in_extent) const noexcept {
     return (in_extent + 2 * padding - kernel) / stride + 1;
@@ -96,20 +89,6 @@ void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
 /// conv2d_rows_fast (the build disables FP contraction on this kernel's
 /// translation unit).
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      std::size_t row_begin, std::size_t row_end, Tensor& out);
-
-/// Quantized kernel (Tier B): weights are quantized per output channel via
-/// the process-wide quant-plan cache, the input is quantized symmetrically
-/// against spec.act_range (or its own max|x| when act_range == 0), the
-/// k==3/s==1 interior accumulates int8×int8 products through SSE2/AVX2
-/// `madd` instructions into exact int32 sums (scalar integer loops cover
-/// borders, tails, and other shapes — same integers), and each cell
-/// dequantizes once: out = acc · (in_scale · w_scale[oc]) + bias[oc].
-/// Self-deterministic (exact integer interior + one float expression per
-/// cell) but NOT bitwise equal to the float backends — see the Tier-B
-/// contract in backend.hpp.
-void conv2d_rows_int8(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);
 

@@ -1,5 +1,6 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 
@@ -52,7 +53,11 @@ bool load_params(const std::vector<Param*>& params, const std::string& path) {
   std::uint64_t count = 0;
   if (!read_u64(in, count) || count != params.size()) return false;
 
-  for (Param* p : params) {
+  // Stage every tensor and commit only once the whole file has validated,
+  // so a truncated or mismatched file leaves every parameter untouched.
+  std::vector<std::vector<float>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Param* p = params[i];
     std::uint64_t name_len = 0;
     if (!read_u64(in, name_len) || name_len > 4096) return false;
     std::string name(name_len, '\0');
@@ -66,9 +71,13 @@ bool load_params(const std::vector<Param*>& params, const std::string& path) {
       d = static_cast<std::size_t>(v);
     }
     if (shape != p->value.shape()) return false;
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
+    staged[i].resize(p->value.numel());
+    in.read(reinterpret_cast<char*>(staged[i].data()),
+            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
     if (!in) return false;
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i]->value.data());
   }
   return true;
 }

@@ -16,7 +16,8 @@ namespace eco::tensor {
                                const std::string& path);
 
 /// Loads parameters into an existing module structure; shapes must match.
-/// Returns false on I/O error, magic/version mismatch, or shape mismatch.
+/// Returns false on I/O error, magic/version mismatch, shape mismatch, or a
+/// truncated file. All or nothing: on false no parameter has been changed.
 [[nodiscard]] bool load_params(const std::vector<Param*>& params,
                                const std::string& path);
 

@@ -1,7 +1,7 @@
 // Read-once ECO_* environment toggles.
 //
 // Every runtime toggle in this project (ECO_REFERENCE_KERNELS, ECO_TRACE,
-// ECO_CHANNEL_SHARE, ECO_SIMD, ECO_BACKEND, ...) shares the same contract:
+// ECO_CHANNEL_SHARE, ECO_SIMD, ...) shares the same contract:
 // the variable is read and parsed exactly once per process, so a toggle can
 // never change mid-run and every consumer observes the same value. Before
 // this header each consumer hand-rolled that pattern around std::getenv;

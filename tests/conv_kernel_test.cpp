@@ -309,7 +309,7 @@ TEST(ReluMaxPoolKernelTest, FusedMatchesTwoPassBitwise) {
 // End-to-end pin of the stem kernel path: F of a fixed seed-2022 frame
 // (4 sensors × 8 channels, 24x24) must reproduce the float bits the scalar
 // kernels produced — an FNV-1a hash over every value's bits plus sampled
-// cells. Every Tier-A backend is bitwise equal, so the pin holds under
+// cells. Every backend is bitwise equal, so the pin holds under
 // ECO_SIMD=0 and ECO_REFERENCE_KERNELS=1 too.
 TEST(StemGoldenTest, GateFeaturesMatchGoldenBits) {
   dataset::DatasetConfig config;  // seed 2022
@@ -454,21 +454,55 @@ TEST(IntegralImageKernelTest, PointerWalkMatchesDirectPrefixSums) {
 
 // The RPN's precomputed anchor geometry (clipped boxes, areas, clamped
 // table offsets) must be scoring-equivalent to the per-scan clip/clamp
-// path: proposals with and without scratch are bitwise identical.
+// path: every proposal entry point — propose, propose_batch and
+// propose_with_anchors, each with and without scratch — returns bitwise
+// identical proposals, on the default backend and on the reference loops.
 TEST(AnchorGeometryTest, ScratchProposalsMatchScratchless) {
   util::Rng rng(8080);
   const Tensor grid = random_tensor({1, 48, 48}, rng, 0.0f, 1.0f);
-  const detect::Rpn rpn;
-  detect::ScanScratch scratch;
-  const auto with_scratch = rpn.propose(grid, &scratch);
-  const auto without = rpn.propose(grid);
-  ASSERT_EQ(with_scratch.size(), without.size());
-  for (std::size_t i = 0; i < without.size(); ++i) {
-    EXPECT_EQ(with_scratch[i].box.x1, without[i].box.x1);
-    EXPECT_EQ(with_scratch[i].box.y1, without[i].box.y1);
-    EXPECT_EQ(with_scratch[i].box.x2, without[i].box.x2);
-    EXPECT_EQ(with_scratch[i].box.y2, without[i].box.y2);
-    EXPECT_EQ(with_scratch[i].objectness, without[i].objectness);
+  const Tensor second = random_tensor({1, 48, 48}, rng, 0.0f, 1.0f);
+  const auto expect_same = [](const std::vector<detect::Proposal>& got,
+                              const std::vector<detect::Proposal>& want,
+                              const char* entry, Backend backend) {
+    ASSERT_EQ(got.size(), want.size()) << entry << " " << backend_name(backend);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].box.x1, want[i].box.x1) << entry << " " << i;
+      EXPECT_EQ(got[i].box.y1, want[i].box.y1) << entry << " " << i;
+      EXPECT_EQ(got[i].box.x2, want[i].box.x2) << entry << " " << i;
+      EXPECT_EQ(got[i].box.y2, want[i].box.y2) << entry << " " << i;
+      EXPECT_EQ(got[i].objectness, want[i].objectness) << entry << " " << i;
+    }
+  };
+  for (const Backend backend : {Backend::kAuto, Backend::kReference}) {
+    detect::RpnConfig config;
+    config.backend = backend;
+    const detect::Rpn rpn(config);
+    const auto without = rpn.propose(grid);
+    const auto second_without = rpn.propose(second);
+    ASSERT_FALSE(without.empty()) << backend_name(backend);
+
+    detect::ScanScratch scratch;
+    expect_same(rpn.propose(grid, &scratch), without, "propose+scratch",
+                backend);
+
+    // Two grids per batch: the scratchless batch reuses one anchor
+    // generation and the scratch batch reuses one scratch sequentially.
+    const std::vector<const Tensor*> grids{&grid, &second};
+    for (detect::ScanScratch* batch_scratch :
+         {static_cast<detect::ScanScratch*>(nullptr), &scratch}) {
+      const auto batch = rpn.propose_batch(grids, batch_scratch);
+      ASSERT_EQ(batch.size(), 2u);
+      const char* entry =
+          batch_scratch != nullptr ? "propose_batch+scratch" : "propose_batch";
+      expect_same(batch[0], without, entry, backend);
+      expect_same(batch[1], second_without, entry, backend);
+    }
+
+    const auto anchors = detect::generate_anchors(48, 48, config.anchors);
+    expect_same(rpn.propose_with_anchors(grid, anchors), without,
+                "propose_with_anchors", backend);
+    expect_same(rpn.propose_with_anchors(grid, anchors, &scratch), without,
+                "propose_with_anchors+scratch", backend);
   }
 }
 

@@ -126,7 +126,7 @@ TEST(LearnedGateTest, DeterministicForSameSeed) {
 // End-to-end pin of the learned gates' kernel path: the full-size Deep and
 // Attention gates (32-channel 24x24 F, three stride-2 3x3 convs, 15
 // configurations) on a fixed input must reproduce these float bits, which
-// the scalar conv kernels produced. Every Tier-A backend is bitwise equal,
+// the scalar conv kernels produced. Every backend is bitwise equal,
 // so the pin holds for reference, fast and simd alike.
 std::vector<std::uint32_t> gate_output_bits(bool attention) {
   LearnedGateConfig config;
