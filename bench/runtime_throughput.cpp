@@ -22,10 +22,10 @@
 // Besides the table, the run is written to BENCH_runtime.json (or the path
 // given as the second argument) so the perf trajectory is machine-trackable
 // across PRs, and a run manifest (<json stem>_manifest.json) records the
-// build (git sha, compiler, flags), env toggles, run parameters, and the
+// build (git sha, compiler, flags), ECO_* settings, run parameters, and the
 // per-shard λ_E/λ_L control traces — so every row is self-describing.
 //
-// Observability toggles:
+// Environment settings (observability and timing floors):
 //   ECO_TRACE=1           trace every sweep through the obs:: span tracer
 //                         and write Chrome trace_event JSON (Perfetto) to
 //                         ECO_TRACE_PATH (default trace.json). The traced
@@ -33,16 +33,16 @@
 //                         run — the bench self-gates on it either way.
 //   ECO_TRACE_CAPACITY=N  span slots per thread lane (drop-counted beyond).
 //   ECO_BASELINE_FPS=X    optional floor: fail if the UNTRACED 4-worker
-//                         fps drops below 0.9·X (pin to the PR-5 baseline
-//                         on a known machine; unset = record-only, since
+//                         fps drops below 0.9·X (pin to a baseline on a
+//                         known machine; unset = record-only, since
 //                         absolute fps is hardware-bound).
+//   ECO_INGEST_MIN_SPEEDUP=X  the fast-vs-reference render floor (1.3).
+// A numeric variable set to a value that does not parse exits with code 2.
 //
-// Scheduler toggles (both bitwise-invariant by contract; the bench runs the
-// opposite state of each at 4 workers and self-gates on the comparison):
-//   ECO_STEAL=0             disable cross-worker deque stealing — every task
-//                           runs on the worker whose deque received it.
-//   ECO_PIPELINE_WINDOWS=0  force window depth 1: no phase-A/phase-B overlap
-//                           across adjacent control windows.
+// Every mode the library offers is a config field, and the bench drives each
+// explicitly: the sweeps run the defaults, and the gates below rerun the
+// 4-worker row with channel sharing, stealing, window pipelining, prefetch
+// and the kernel backend switched, each bitwise against the default run.
 //
 // Build & run:
 //   ./build/bench/runtime_throughput [frames_per_sequence] [json] [max_shards]
@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,10 +107,8 @@ double max_abs_delta(const eco::tensor::Tensor& a,
 /// Self-gate: every non-reference kernel backend must agree bitwise with
 /// its reference implementation on a sampled frame — a stem-shaped conv
 /// over every sensor grid, the RPN blur, the integral image, and the
-/// vectorized anchor-contrast sweep. Runs regardless of
-/// ECO_REFERENCE_KERNELS (the backend entry points are called explicitly),
-/// so the reference-path CI smoke still verifies the code it is not
-/// otherwise executing.
+/// vectorized anchor-contrast sweep. The backend entry points are called
+/// explicitly, so the run verifies code the default backend never executes.
 KernelDeltas kernel_deltas_vs_reference() {
   using namespace eco;
   dataset::DatasetConfig config;
@@ -259,7 +258,7 @@ struct IngestSummary {
 /// all four sensors — the unit of work an ingest generation task performs)
 /// and pins them bitwise identical. Single-threaded by construction: this
 /// is the per-frame synthesis cost, not the pipelined throughput.
-IngestSummary measure_ingest_render() {
+IngestSummary measure_ingest_render(double min_speedup) {
   using namespace eco;
   IngestSummary out;
   dataset::SequenceConfig config;
@@ -324,10 +323,8 @@ IngestSummary measure_ingest_render() {
       out.fast_us_per_frame > 0.0
           ? out.reference_us_per_frame / out.fast_us_per_frame
           : 0.0;
-  const double floor = util::env_double_or("ECO_INGEST_MIN_SPEEDUP", 1.3);
-  out.speedup_ok =
-      floor <= 0.0 ||
-      (out.fast_matches_reference && out.speedup_vs_reference >= floor);
+  out.speedup_ok = out.fast_matches_reference &&
+                   out.speedup_vs_reference >= min_speedup;
   return out;
 }
 
@@ -349,10 +346,10 @@ struct ShardRow {
 
 /// One explicit-backend run of the 4-worker pipeline: same stream, an
 /// engine constructed with that backend pinned. fps is observability; the
-/// bitwise flag (report equals the environment-selected sweep's report) is
-/// the determinism gate.
+/// bitwise flag (report equals the default sweep's report) is the
+/// determinism gate.
 struct BackendRow {
-  eco::tensor::Backend backend = eco::tensor::Backend::kAuto;
+  eco::tensor::Backend backend = eco::tensor::Backend::kSimd;
   double frames_per_second = 0.0;
   double max_abs_delta_vs_reference = 0.0;  // kernel self-gate delta
   bool report_bitwise = false;
@@ -437,8 +434,8 @@ void write_float_array(std::FILE* f, const std::vector<float>& values) {
 
 bool write_json(const char* path, const eco::runtime::PipelineReport& report,
                 std::size_t frames_per_sequence, const std::vector<Row>& rows,
-                const std::vector<ShardRow>& shard_rows, bool share_enabled,
-                bool share_invariant, const Pcts& modeled_p, const Pcts& wall_p,
+                const std::vector<ShardRow>& shard_rows, bool share_invariant,
+                const Pcts& modeled_p, const Pcts& wall_p,
                 const std::vector<eco::runtime::ControlSlice>& control_slices,
                 const ObsSummary& obs,
                 const std::vector<BackendRow>& backend_rows,
@@ -493,8 +490,6 @@ bool write_json(const char* path, const eco::runtime::PipelineReport& report,
   std::fprintf(f, "    \"zero_alloc_frames\": %zu\n",
                report.exec.zero_alloc_frames);
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"channel_share_enabled\": %s,\n",
-               share_enabled ? "true" : "false");
   std::fprintf(f, "  \"share_invariant\": %s,\n",
                share_invariant ? "true" : "false");
   // Per-backend runs: fps moves, everything deterministic must not. The
@@ -727,14 +722,27 @@ int main(int argc, char** argv) {
     if (max_shards == 0) max_shards = 1;
   }
 
+  // The numeric bench variables are parsed up front: a value that does not
+  // parse (ECO_BASELINE_FPS=abc) fails the run instead of silently
+  // disarming its gate.
+  obs::TraceConfig trace_config;
+  double ingest_min_speedup = 0.0;
+  double baseline_fps = 0.0;
+  try {
+    trace_config.ring_capacity = util::env_size_or(
+        "ECO_TRACE_CAPACITY", trace_config.ring_capacity);
+    ingest_min_speedup = util::env_double_or("ECO_INGEST_MIN_SPEEDUP", 1.3);
+    baseline_fps = util::env_double_or("ECO_BASELINE_FPS", 0.0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+
   // The tracer is installed for the whole run in BOTH trace modes; with
   // ECO_TRACE unset every PipelineConfig keeps tracing=false, so no worker
   // ever activates a lane — which lets the exit gates prove the off path
   // emits zero spans even with a live tracer installed.
   const bool trace_enabled = obs::trace_env_enabled();
-  obs::TraceConfig trace_config;
-  trace_config.ring_capacity = util::env_size_or("ECO_TRACE_CAPACITY",
-                                                 trace_config.ring_capacity);
   obs::Tracer tracer(trace_config);
   tracer.install();
 
@@ -755,15 +763,8 @@ int main(int argc, char** argv) {
   stream_config.sequences_per_scene = 2;
   stream_config.seed = 7102;
 
-  // ECO_CHANNEL_SHARE=0 runs every sweep with cross-branch channel-scan
-  // sharing disabled (the CI smoke uses it to exercise the unshared path;
-  // the invariance check below always compares both paths regardless).
-  const bool share_enabled = !util::env_disabled("ECO_CHANNEL_SHARE");
-
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("Streaming-runtime throughput (hardware threads: %u)\n", hw);
-  std::printf("Channel-scan sharing: %s\n",
-              share_enabled ? "enabled" : "DISABLED (ECO_CHANNEL_SHARE=0)");
   std::printf("Span tracing: %s\n",
               trace_enabled ? "ENABLED (ECO_TRACE=1)" : "off");
   std::printf("Stream: 8 scene lanes x %zu sequences x %zu frames = %zu frames\n\n",
@@ -780,7 +781,6 @@ int main(int argc, char** argv) {
     runtime::PipelineConfig config;
     config.workers = workers;
     config.window = kBenchWindow;
-    config.share_channel_scans = share_enabled;
     config.tracing = trace_enabled;
     runtime::StreamingPipeline pipeline(engine, config);
     runtime::FrameStream stream(stream_config);
@@ -846,26 +846,20 @@ int main(int argc, char** argv) {
   // One run per toggle state on the identical stream: everything except the
   // unique-scan count must match bitwise (the dedup must be invisible in
   // results), and on this ensemble-bearing stream sharing must actually
-  // dedup (unique < requested). Runs regardless of ECO_CHANNEL_SHARE so the
-  // disabled smoke still verifies divergence against the shared path. The
-  // sweep's 4-worker run already covers the env's toggle state (reports are
-  // deterministic), so only the opposite state runs here.
+  // dedup (unique < requested). The sweep's 4-worker run is the shared
+  // side, so only the unshared run happens here.
   bool share_invariant = true;
   {
-    auto run_once = [&](bool share) {
-      runtime::PipelineConfig config;
-      config.workers = 4;
-      config.window = kBenchWindow;
-      config.share_channel_scans = share;
-      config.tracing = trace_enabled;
-      runtime::StreamingPipeline pipeline(engine, config);
-      runtime::FrameStream stream(stream_config);
-      return pipeline.run(stream, gate_factory);
-    };
-    const runtime::PipelineReport shared =
-        share_enabled ? four_worker_report : run_once(true);
+    const runtime::PipelineReport& shared = four_worker_report;
+    runtime::PipelineConfig config;
+    config.workers = 4;
+    config.window = kBenchWindow;
+    config.share_channel_scans = false;
+    config.tracing = trace_enabled;
+    runtime::StreamingPipeline pipeline(engine, config);
+    runtime::FrameStream stream(stream_config);
     const runtime::PipelineReport unshared =
-        share_enabled ? run_once(false) : four_worker_report;
+        pipeline.run(stream, gate_factory);
     share_invariant =
         shared.mean_energy_j == unshared.mean_energy_j &&
         shared.mean_latency_ms == unshared.mean_latency_ms &&
@@ -905,7 +899,6 @@ int main(int argc, char** argv) {
       runtime::PipelineConfig config;
       config.workers = 4;
       config.window = kBenchWindow;
-      config.share_channel_scans = share_enabled;
       config.tracing = trace_enabled;
       config.steal = steal;
       config.pipeline_windows = pipelined;
@@ -974,7 +967,6 @@ int main(int argc, char** argv) {
     config.shards = shards;
     config.pipeline.workers = 4;
     config.pipeline.window = kBenchWindow;
-    config.pipeline.share_channel_scans = share_enabled;
     config.pipeline.tracing = trace_enabled;
     runtime::ShardedPipeline pipeline(config);
     const runtime::ShardedReport report =
@@ -1041,7 +1033,7 @@ int main(int argc, char** argv) {
   // must be bitwise invariant across prefetch off (inline generation),
   // multiple lookahead depths x worker counts, and {1,2} shards with
   // prefetch on/off — the stream is a pure function of StreamConfig.
-  IngestSummary ingest_summary = measure_ingest_render();
+  IngestSummary ingest_summary = measure_ingest_render(ingest_min_speedup);
   ingest_summary.prefetch_depth = stream_config.prefetch;
   ingest_summary.blocked_pops =
       four_worker_report.scheduler.ingest_blocked_pops;
@@ -1051,7 +1043,6 @@ int main(int argc, char** argv) {
       runtime::PipelineConfig config;
       config.workers = workers;
       config.window = kBenchWindow;
-      config.share_channel_scans = share_enabled;
       config.tracing = trace_enabled;
       runtime::StreamingPipeline pipeline(engine, config);
       runtime::StreamConfig prefetch_config = stream_config;
@@ -1077,7 +1068,6 @@ int main(int argc, char** argv) {
       config.shards = shards;
       config.pipeline.workers = 4;
       config.pipeline.window = kBenchWindow;
-      config.pipeline.share_channel_scans = share_enabled;
       config.pipeline.tracing = trace_enabled;
       runtime::ShardedPipeline pipeline(config);
       runtime::StreamConfig prefetch_config = stream_config;
@@ -1115,7 +1105,7 @@ int main(int argc, char** argv) {
 
   // ---- Explicit-backend sweep -------------------------------------------
   // One 4-worker run per pinned backend on the identical stream. Every
-  // backend must be bitwise equal to the environment-selected sweep's run.
+  // backend must be bitwise equal to the default sweep's 4-worker run.
   std::vector<BackendRow> backend_rows;
   const KernelDeltas kernel_deltas = kernel_deltas_vs_reference();
   {
@@ -1130,7 +1120,6 @@ int main(int argc, char** argv) {
       runtime::PipelineConfig config;
       config.workers = 4;
       config.window = kBenchWindow;
-      config.share_channel_scans = share_enabled;
       config.tracing = trace_enabled;
       runtime::StreamingPipeline pipeline(backend_engine, config);
       runtime::FrameStream stream(stream_config);
@@ -1189,7 +1178,6 @@ int main(int argc, char** argv) {
     runtime::PipelineConfig config;
     config.workers = 4;
     config.window = kBenchWindow;
-    config.share_channel_scans = share_enabled;
     config.tracing = tracing_on;
     runtime::StreamingPipeline pipeline(engine, config);
     runtime::FrameStream stream(stream_config);
@@ -1293,25 +1281,19 @@ int main(int argc, char** argv) {
   // Optional absolute floor against a pinned baseline (PR-5 numbers on a
   // known machine); unset keeps the bench hardware-agnostic.
   bool baseline_ok = true;
-  {
-    const double baseline = util::env_double_or("ECO_BASELINE_FPS", 0.0);
-    if (baseline > 0.0) {
-      baseline_ok = obs_summary.fps_untraced >= 0.9 * baseline;
-      std::printf("Baseline gate: %.1f fps untraced vs %.1f baseline "
-                  "(floor 0.9x): %s\n",
-                  obs_summary.fps_untraced, baseline,
-                  baseline_ok ? "ok" : "REGRESSED");
-    }
+  if (baseline_fps > 0.0) {
+    baseline_ok = obs_summary.fps_untraced >= 0.9 * baseline_fps;
+    std::printf("Baseline gate: %.1f fps untraced vs %.1f baseline "
+                "(floor 0.9x): %s\n",
+                obs_summary.fps_untraced, baseline_fps,
+                baseline_ok ? "ok" : "REGRESSED");
   }
 
   // ---- Run manifest -------------------------------------------------------
   obs::RunManifest manifest;
   manifest.tool = "runtime_throughput";
   manifest.capture_env({"ECO_TRACE", "ECO_TRACE_PATH", "ECO_TRACE_CAPACITY",
-                        "ECO_CHANNEL_SHARE", "ECO_REFERENCE_KERNELS",
-                        "ECO_SIMD", "ECO_BASELINE_FPS", "ECO_STEAL",
-                        "ECO_PIPELINE_WINDOWS", "ECO_PREFETCH",
-                        "ECO_INGEST_MIN_SPEEDUP"});
+                        "ECO_BASELINE_FPS", "ECO_INGEST_MIN_SPEEDUP"});
   // CPU-feature probes ride in the env block alongside the toggles: they
   // describe the execution environment a bench artifact actually ran on
   // (which dispatch widths the simd kernels could take).
@@ -1382,7 +1364,7 @@ int main(int argc, char** argv) {
 
   const bool wrote =
       write_json(json_path, last_report, frames_per_sequence, rows, shard_rows,
-                 share_enabled, share_invariant, modeled_p, wall_p,
+                 share_invariant, modeled_p, wall_p,
                  manifest_slices, obs_summary, backend_rows, plan_stats,
                  plan_cache_ok, sched_summary, ingest_summary);
   const bool bench_json_valid = wrote && obs::json_valid(read_file(json_path));

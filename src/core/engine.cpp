@@ -73,18 +73,14 @@ detect::BranchConfig make_branch_config(BranchId branch,
   config.rpn.backend = backend;
   config.roi_per_input.clear();
   for (dataset::SensorKind kind : inputs) {
-    detect::RoiHeadConfig roi = channel_roi_config(kind);
-    roi.backend = backend;
-    config.roi_per_input.push_back(roi);
+    config.roi_per_input.push_back(channel_roi_config(kind));
   }
   return config;
 }
 
-/// Resolves the engine's backend once and stamps it into every nested
-/// kernel config, so the stored EngineConfig records the concrete backend
-/// the engine actually runs (and scan_equivalent/plan-cache keys see it).
-EngineConfig resolve_engine_config(EngineConfig config) {
-  config.backend = tensor::resolve_backend(config.backend);
+/// Stamps the engine's backend into the stem config, so the stored
+/// EngineConfig records the backend every kernel the engine owns runs.
+EngineConfig stamp_stem_backend(EngineConfig config) {
   config.stem.backend = config.backend;
   return config;
 }
@@ -92,7 +88,7 @@ EngineConfig resolve_engine_config(EngineConfig config) {
 }  // namespace
 
 EcoFusionEngine::EcoFusionEngine(EngineConfig config)
-    : config_(resolve_engine_config(std::move(config))),
+    : config_(stamp_stem_backend(std::move(config))),
       space_(build_config_space()),
       baselines_(baseline_indices(space_)),
       stems_(config_.stem),

@@ -46,12 +46,10 @@ struct EngineConfig {
   /// amplitude for the ROI prototypes (accounts for average context
   /// attenuation and edge dilution).
   float prototype_amplitude_scale = 1.0f;
-  /// Kernel backend for every stem/RPN/ROI kernel the engine constructs.
-  /// kAuto resolves from the environment (ECO_REFERENCE_KERNELS, ECO_SIMD)
-  /// exactly once at engine construction, so one engine never mixes
-  /// backends mid-run. All backends are bitwise equal (see
+  /// Kernel backend for every stem and RPN kernel the engine constructs;
+  /// it overrides stem.backend. All backends are bitwise equal (see
   /// tensor/backend.hpp).
-  tensor::Backend backend = tensor::Backend::kAuto;
+  tensor::Backend backend = tensor::Backend::kSimd;
 };
 
 /// Result of executing one configuration on one frame.

@@ -53,7 +53,7 @@ StemBank::StemBank(StemConfig config) : config_(config) {
     stem.spec.kernel = 3;
     stem.spec.stride = 1;
     stem.spec.padding = 1;
-    stem.spec.backend = tensor::resolve_backend(config_.backend);
+    stem.spec.backend = config_.backend;
     stem.weight = tensor::Tensor(
         {config_.out_channels, 1, stem.spec.kernel, stem.spec.kernel});
     // Consume the rng exactly as the previous Conv2d-module bank did so the

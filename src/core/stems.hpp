@@ -32,9 +32,8 @@ namespace eco::core {
 struct StemConfig {
   std::size_t out_channels = 8;
   std::uint64_t seed = 0xECu;
-  /// Kernel backend stamped into every stem's Conv2dSpec; kAuto resolves
-  /// from the environment at bank construction.
-  tensor::Backend backend = tensor::Backend::kAuto;
+  /// Kernel backend stamped into every stem's Conv2dSpec.
+  tensor::Backend backend = tensor::Backend::kSimd;
 };
 
 /// One stem per sensor; produces per-sensor features and the concatenated

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cmath>
 
-#include "tensor/ops.hpp"
-
 namespace eco::dataset {
 
 const char* sensor_kind_name(SensorKind kind) noexcept {
@@ -550,9 +548,6 @@ tensor::Tensor render_sensor(SensorKind kind, const SceneEnvironment& env,
                              const std::vector<detect::GroundTruth>& objects,
                              const std::vector<Phantom>& phantoms,
                              const SensorGridSpec& spec, util::Rng& rng) {
-  if (tensor::use_reference_kernels()) {
-    return render_sensor_reference(kind, env, objects, phantoms, spec, rng);
-  }
   return render_sensor_fast(kind, env, objects, phantoms, spec, rng,
                             render_scratch_for_current_thread());
 }

@@ -114,9 +114,9 @@ struct RenderScratch {
 /// seen by `kind`. Deterministic in (inputs, rng state).
 /// Output: (1, H, W) tensor in [0, ~1].
 ///
-/// Dispatches to the fast row-pointer render, or to the reference per-cell
-/// render when ECO_REFERENCE_KERNELS=1 (the tensor-kernel audit pattern).
-/// Both paths draw from `rng` in the same order and are bitwise identical.
+/// Runs the fast row-pointer render on the calling thread's RenderScratch.
+/// It draws from `rng` in the same order as render_sensor_reference and is
+/// bitwise identical to it (pinned by sensor_model_test).
 [[nodiscard]] tensor::Tensor render_sensor(
     SensorKind kind, const SceneEnvironment& env,
     const std::vector<detect::GroundTruth>& objects,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/ops.hpp"
-
 namespace eco::dataset {
 
 namespace {
@@ -170,16 +168,11 @@ Frame render_planned_frame(const SequencePlan& plan, std::size_t t,
   frame.id = fp.frame_id;
   frame.scene = plan.scene;
   frame.objects = fp.objects;
-  const bool reference = tensor::use_reference_kernels();
   for (SensorKind kind : all_sensor_kinds()) {
     util::Rng sensor_rng(fp.render_seeds[static_cast<std::size_t>(kind)]);
     frame.sensor_grids[static_cast<std::size_t>(kind)] =
-        reference ? render_sensor_reference(kind, plan.env, frame.objects,
-                                            fp.phantoms, plan.grid,
-                                            sensor_rng)
-                  : render_sensor_fast(kind, plan.env, frame.objects,
-                                       fp.phantoms, plan.grid, sensor_rng,
-                                       scratch);
+        render_sensor_fast(kind, plan.env, frame.objects, fp.phantoms,
+                           plan.grid, sensor_rng, scratch);
   }
   return frame;
 }

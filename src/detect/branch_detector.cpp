@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "detect/nms.hpp"
+#include "detect/scan_scratch.hpp"
 
 namespace eco::detect {
 
@@ -70,13 +71,14 @@ std::vector<Detection> BranchDetector::scan_channel(
 std::vector<std::vector<Detection>> BranchDetector::scan_channel_batch(
     std::size_t channel, const std::vector<const tensor::Tensor*>& grids,
     ScanScratch* scratch) const {
-  const RoiHead& head = roi_heads_.at(channel);
-  const std::vector<std::vector<Proposal>> proposals =
-      rpn_.propose_batch(grids, scratch);
+  if (scratch == nullptr) {
+    ScanScratch local;
+    return scan_channel_batch(channel, grids, &local);
+  }
   std::vector<std::vector<Detection>> results;
   results.reserve(grids.size());
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    results.push_back(head.run(*grids[i], proposals[i], scratch));
+  for (const tensor::Tensor* grid : grids) {
+    results.push_back(scan_channel(channel, *grid, scratch));
   }
   return results;
 }
@@ -130,11 +132,9 @@ std::vector<std::vector<Detection>> BranchDetector::detect_batch(
           std::to_string(grids == nullptr ? 0 : grids->size()));
     }
   }
-  // Scan channel-by-channel across the whole batch (one anchor generation
-  // per channel sweep), then merge per frame. Identical arithmetic to the
-  // flattened all-channels batch this replaces: anchors depend only on the
-  // grid extent, and each (frame, channel) pair still runs one
-  // propose + ROI pass on its own grid.
+  // Scan channel-by-channel across the whole batch (one scratch per
+  // channel sweep), then merge per frame. Each (frame, channel) pair runs
+  // one propose + ROI pass on its own grid.
   std::vector<std::vector<std::vector<Detection>>> scans(
       grids_per_frame.size());
   for (auto& frame_scans : scans) frame_scans.resize(config_.input_count);

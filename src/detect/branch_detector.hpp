@@ -83,9 +83,8 @@ class BranchDetector {
       std::size_t channel, const tensor::Tensor& grid,
       ScanScratch* scratch = nullptr) const;
 
-  /// Batched scan of channel `channel` across many grids of one extent,
-  /// sharing one anchor generation; `scratch` is reused sequentially across
-  /// the batch. Per-grid results are bitwise identical to scan_channel().
+  /// scan_channel() over many grids of one extent, reusing one scratch
+  /// (`scratch`, or a local one) sequentially across the batch.
   [[nodiscard]] std::vector<std::vector<Detection>> scan_channel_batch(
       std::size_t channel, const std::vector<const tensor::Tensor*>& grids,
       ScanScratch* scratch = nullptr) const;

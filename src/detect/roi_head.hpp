@@ -60,9 +60,6 @@ struct RoiHeadConfig {
   float nms_iou = 0.45f;
   /// Minimum final detection score.
   float min_score = 0.38f;
-  /// Kernel backend for the amplitude integral image; kAuto resolves from
-  /// the environment (engines stamp a concrete backend at construction).
-  tensor::Backend backend = tensor::Backend::kAuto;
 
   /// Exact equality over every field — the channel-scan plan uses this to
   /// prove two channels' scans interchangeable, so new fields participate

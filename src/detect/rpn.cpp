@@ -10,19 +10,6 @@
 
 namespace eco::detect {
 
-namespace {
-
-/// The backend a detect-side kernel actually runs: ECO_REFERENCE_KERNELS=1
-/// overrides even an explicit backend (the CI audit leg replays the whole
-/// bench through the reference loops), otherwise kAuto resolves from the
-/// environment.
-tensor::Backend effective_backend(tensor::Backend backend) {
-  if (tensor::use_reference_kernels()) return tensor::Backend::kReference;
-  return tensor::resolve_backend(backend);
-}
-
-}  // namespace
-
 void IntegralImage::reset(const tensor::Tensor& grid) {
   const bool chw = grid.dim() == 3;
   if (chw && grid.size(0) != 1) {
@@ -172,14 +159,13 @@ void box_blur3_into_fast(const tensor::Tensor& grid, tensor::Tensor& out) {
 
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
                     tensor::Backend backend) {
-  switch (effective_backend(backend)) {
+  switch (backend) {
     case tensor::Backend::kReference:
       box_blur3_into_reference(grid, out);
       return;
     case tensor::Backend::kFast:
       box_blur3_into_fast(grid, out);
       return;
-    case tensor::Backend::kAuto:  // effective_backend never returns kAuto
     case tensor::Backend::kSimd:
       box_blur3_into_simd(grid, out);
       return;
@@ -187,62 +173,14 @@ void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
 }
 
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out) {
-  box_blur3_into(grid, out, tensor::Backend::kAuto);
+  box_blur3_into(grid, out, tensor::Backend::kSimd);
 }
 
 Rpn::Rpn(RpnConfig config) : config_(std::move(config)) {}
 
-std::vector<Proposal> Rpn::propose(const tensor::Tensor& grid,
-                                   ScanScratch* scratch) const {
-  if (grid.dim() != 3 || grid.size(0) != 1) {
-    throw std::invalid_argument("Rpn::propose: expected (1,H,W) grid");
-  }
-  // With scratch, anchors + scoring geometry come from the process-wide
-  // scan-plan cache — exactly the values a fresh generation returns.
-  if (scratch != nullptr) {
-    const ScanPlan& plan =
-        scratch->plan_for(grid.size(1), grid.size(2), config_);
-    return propose_with_plan(grid, plan, *scratch);
-  }
-  return propose_with_anchors(
-      grid, generate_anchors(grid.size(1), grid.size(2), config_.anchors),
-      nullptr);
-}
-
-std::vector<std::vector<Proposal>> Rpn::propose_batch(
-    const std::vector<const tensor::Tensor*>& grids,
-    ScanScratch* scratch) const {
-  std::vector<std::vector<Proposal>> proposals;
-  proposals.reserve(grids.size());
-  std::vector<Box> anchors;
-  std::size_t anchor_h = 0, anchor_w = 0;
-  for (const tensor::Tensor* grid : grids) {
-    if (grid == nullptr || grid->dim() != 3 || grid->size(0) != 1) {
-      throw std::invalid_argument("Rpn::propose_batch: expected (1,H,W) grid");
-    }
-    if (scratch != nullptr) {
-      // Shared plan (and, transitively, the precomputed scoring geometry)
-      // — identical values to a per-batch generation.
-      const ScanPlan& plan =
-          scratch->plan_for(grid->size(1), grid->size(2), config_);
-      proposals.push_back(propose_with_plan(*grid, plan, *scratch));
-      continue;
-    }
-    if (anchors.empty() || grid->size(1) != anchor_h ||
-        grid->size(2) != anchor_w) {
-      anchor_h = grid->size(1);
-      anchor_w = grid->size(2);
-      anchors = generate_anchors(anchor_h, anchor_w, config_.anchors);
-    }
-    proposals.push_back(propose_with_anchors(*grid, anchors, scratch));
-  }
-  return proposals;
-}
-
 namespace {
 
-/// Threshold + sigmoid of one scored anchor; shared by every scoring path
-/// so the proposal-forming arithmetic has a single definition.
+/// Threshold + sigmoid of one scored anchor.
 inline void emit_if_contrast(std::vector<Detection>& raw, const Box& anchor,
                              double contrast, const RpnConfig& config) {
   if (contrast < config.min_contrast) return;
@@ -254,7 +192,7 @@ inline void emit_if_contrast(std::vector<Detection>& raw, const Box& anchor,
   raw.push_back(d);
 }
 
-/// NMS + top-k + proposal forming, shared by both propose paths.
+/// NMS + top-k + proposal forming.
 std::vector<Proposal> finish_proposals(std::vector<Detection>& raw,
                                        const RpnConfig& config) {
   nms_in_place(raw, config.nms_iou, /*class_aware=*/false);
@@ -269,10 +207,20 @@ std::vector<Proposal> finish_proposals(std::vector<Detection>& raw,
 
 }  // namespace
 
-std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
-                                             const ScanPlan& plan,
-                                             ScanScratch& scratch) const {
-  const tensor::Backend eb = effective_backend(config_.backend);
+std::vector<Proposal> Rpn::propose(const tensor::Tensor& grid,
+                                   ScanScratch* scratch_or_null) const {
+  if (scratch_or_null == nullptr) {
+    ScanScratch local;
+    return propose(grid, &local);
+  }
+  if (grid.dim() != 3 || grid.size(0) != 1) {
+    throw std::invalid_argument("Rpn::propose: expected (1,H,W) grid");
+  }
+  ScanScratch& scratch = *scratch_or_null;
+  // Anchors + scoring geometry come from the process-wide scan-plan cache.
+  const ScanPlan& plan =
+      scratch.plan_for(grid.size(1), grid.size(2), config_);
+  const bool simd = config_.backend == tensor::Backend::kSimd;
   const std::vector<Box>& anchors = plan.anchors;
   const std::vector<AnchorGeometry>& geometry = plan.geometry;
 
@@ -288,15 +236,14 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   box_blur3_into(grid, scratch.smoothed, config_.backend);
   scratch.integral.reset(scratch.smoothed);
   scratch.contrast.resize(anchors.size());
-  if (eb == tensor::Backend::kSimd) {
+  if (simd) {
     detail::anchor_contrast_pass_simd(scratch.integral.table(),
                                       geometry.data(), anchors.size(),
                                       scratch.contrast.data());
   } else {
     const IntegralImage& integral = scratch.integral;
     // Scalar scoring against the plan's precomputed geometry: each anchor
-    // costs eight table lookups plus the scoring arithmetic — the identical
-    // numbers the clip/clamp path produces.
+    // costs eight table lookups plus the scoring arithmetic.
     for (std::size_t i = 0; i < anchors.size(); ++i) {
       const AnchorGeometry& g = geometry[i];
       const double inner_sum =
@@ -323,7 +270,7 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   // through scratch.candidates to keep the arena footprint backend-invariant.
   scratch.candidates.clear();
   const auto threshold = static_cast<double>(config_.min_contrast);
-  if (eb == tensor::Backend::kSimd) {
+  if (simd) {
     detail::collect_candidates_simd(scratch.contrast.data(), anchors.size(),
                                     threshold, scratch.candidates);
   } else {
@@ -335,49 +282,6 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   }
   for (const std::uint32_t idx : scratch.candidates) {
     emit_if_contrast(raw, anchors[idx], scratch.contrast[idx], config_);
-  }
-  return finish_proposals(raw, config_);
-}
-
-std::vector<Proposal> Rpn::propose_with_anchors(
-    const tensor::Tensor& grid, const std::vector<Box>& anchors,
-    ScanScratch* scratch) const {
-  const std::size_t h = grid.size(1), w = grid.size(2);
-
-  // With scratch, the smoothed grid and the integral table reuse the
-  // caller's buffers; the arithmetic is identical either way.
-  ScanScratch local;
-  ScanScratch& buffers = scratch != nullptr ? *scratch : local;
-  box_blur3_into(grid, buffers.smoothed, config_.backend);
-  buffers.integral.reset(buffers.smoothed);
-  const IntegralImage& integral = buffers.integral;
-
-  std::vector<Detection>& raw = buffers.raw_detections;
-  raw.clear();
-  raw.reserve(anchors.size() / 4);
-
-  const auto limit_w = static_cast<float>(w);
-  const auto limit_h = static_cast<float>(h);
-  for (const Box& anchor : anchors) {
-    // The clipped anchor and its sum feed three places (inside mean, the
-    // ring background, the ring area); compute them once. Identical
-    // values and operation order as the box_mean/box_sum calls this
-    // replaces.
-    const Box inner = anchor.clipped(limit_w, limit_h);
-    const float inner_area = inner.area();
-    const double inner_sum = integral.box_sum(inner);
-    Box ring = anchor;
-    ring.x1 -= config_.ring;
-    ring.y1 -= config_.ring;
-    ring.x2 += config_.ring;
-    ring.y2 += config_.ring;
-    ring = ring.clipped(limit_w, limit_h);
-    const double ring_sum = integral.box_sum(ring);
-    const double ring_area = ring.area() - inner_area;
-    const double inside = inner_area > 0.0f ? inner_sum / inner_area : 0.0;
-    const double background =
-        ring_area > 0.0 ? (ring_sum - inner_sum) / ring_area : 0.0;
-    emit_if_contrast(raw, anchor, inside - background, config_);
   }
   return finish_proposals(raw, config_);
 }

@@ -91,12 +91,11 @@ struct RpnConfig {
   std::size_t top_k = 48;
   /// Contrast scale mapping to objectness (sigmoid temperature).
   float contrast_scale = 9.0f;
-  /// Kernel backend for the blur/integral/scoring kernels; kAuto resolves
-  /// from the environment (engines stamp a concrete backend at
-  /// construction). All backends are bitwise identical, but the field
-  /// participates in equality so plan-cache keys and scan-equivalence
+  /// Kernel backend for the blur and scoring kernels (engines stamp their
+  /// own at construction). All backends are bitwise identical, but the
+  /// field participates in equality so plan-cache keys and scan-equivalence
   /// never alias configs that run different code paths.
-  tensor::Backend backend = tensor::Backend::kAuto;
+  tensor::Backend backend = tensor::Backend::kSimd;
 
   /// Exact equality over every field — the channel-scan plan uses this to
   /// prove two channels' scans interchangeable, so new fields participate
@@ -111,11 +110,6 @@ struct RpnConfig {
 /// scratch.
 struct ScanScratch;
 
-/// Immutable anchor grid + scoring geometry for one (extent, RpnConfig);
-/// built once per key in the process-wide plan cache and shared by every
-/// scratch (detect/scan_scratch.hpp).
-struct ScanPlan;
-
 /// Precomputed per-anchor scoring geometry (detect/scan_scratch.hpp).
 struct AnchorGeometry;
 
@@ -124,38 +118,16 @@ class Rpn {
  public:
   explicit Rpn(RpnConfig config = {});
 
-  /// Proposes regions on a single-channel observation/feature grid (1,H,W).
-  /// `scratch`, when supplied, provides reusable intermediate buffers.
+  /// Proposes regions on a single-channel observation/feature grid (1,H,W),
+  /// scoring against the shared scan plan's precomputed anchor geometry
+  /// (ScanScratch::plan_for). `scratch`, when supplied, provides reusable
+  /// intermediate buffers; without it a local scratch is used.
   [[nodiscard]] std::vector<Proposal> propose(
       const tensor::Tensor& grid, ScanScratch* scratch = nullptr) const;
-
-  /// Same as propose(), with the anchor grid supplied by the caller.
-  /// Anchors depend only on the grid extent, so batched executors generate
-  /// them once per batch instead of once per grid; results are identical.
-  [[nodiscard]] std::vector<Proposal> propose_with_anchors(
-      const tensor::Tensor& grid, const std::vector<Box>& anchors,
-      ScanScratch* scratch = nullptr) const;
-
-  /// Batched proposal entry point: proposes on every grid (all the same
-  /// extent) sharing one anchor generation. `scratch`, when supplied, is
-  /// reused sequentially across the whole batch. Bitwise identical to
-  /// per-grid propose() calls.
-  [[nodiscard]] std::vector<std::vector<Proposal>> propose_batch(
-      const std::vector<const tensor::Tensor*>& grids,
-      ScanScratch* scratch = nullptr) const;
 
   [[nodiscard]] const RpnConfig& config() const noexcept { return config_; }
 
  private:
-  /// Scoring over a shared plan's precomputed geometry — what every
-  /// scratch-threaded propose runs. The simd backend scores in two passes
-  /// (vectorized contrast sweep into scratch->contrast, then the scalar
-  /// threshold/sigmoid walk); other backends keep the single scalar loop.
-  /// Bitwise identical either way.
-  [[nodiscard]] std::vector<Proposal> propose_with_plan(
-      const tensor::Tensor& grid, const ScanPlan& plan,
-      ScanScratch& scratch) const;
-
   RpnConfig config_;
 };
 
@@ -164,8 +136,7 @@ class Rpn {
 
 /// Same blur into a caller-owned output tensor (reshaped when needed), so
 /// repeated scans can reuse the allocation. Bitwise identical to box_blur3.
-/// Dispatches to the fast kernel (or the reference under
-/// ECO_REFERENCE_KERNELS=1, like tensor::conv2d_rows).
+/// Runs the simd kernel.
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out);
 
 /// The original guarded per-tap loop, kept as the blur's ground truth.
@@ -181,9 +152,7 @@ void box_blur3_into_fast(const tensor::Tensor& grid, tensor::Tensor& out);
 /// identical to box_blur3_into_fast). Borders keep the guarded path.
 void box_blur3_into_simd(const tensor::Tensor& grid, tensor::Tensor& out);
 
-/// Explicit-backend blur entry point; the two-argument overload dispatches
-/// with kAuto (environment default). ECO_REFERENCE_KERNELS=1 overrides
-/// even an explicit backend, like tensor::conv2d_rows.
+/// Explicit-backend blur entry point; the two-argument overload runs kSimd.
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
                     tensor::Backend backend);
 

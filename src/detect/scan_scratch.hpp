@@ -34,8 +34,8 @@ namespace eco::detect {
 /// offsets and areas of its inner box and background ring. These depend
 /// only on (anchor, grid extent, RpnConfig), never on grid *values*, so the
 /// RPN's inner loop reduces to eight table lookups and a handful of
-/// floating-point ops per anchor — producing the identical numbers the
-/// clip/clamp path computes per scan.
+/// floating-point ops per anchor. The sums equal IntegralImage::box_sum
+/// over the clipped boxes (pinned by AnchorGeometryTest).
 struct AnchorGeometry {
   std::size_t inner00 = 0, inner01 = 0, inner10 = 0, inner11 = 0;
   std::size_t ring00 = 0, ring01 = 0, ring10 = 0, ring11 = 0;

@@ -1,14 +1,9 @@
 #include "tensor/backend.hpp"
 
-#include "tensor/ops.hpp"
-#include "util/env.hpp"
-
 namespace eco::tensor {
 
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {
-    case Backend::kAuto:
-      return "auto";
     case Backend::kReference:
       return "reference";
     case Backend::kFast:
@@ -16,20 +11,7 @@ const char* backend_name(Backend backend) noexcept {
     case Backend::kSimd:
       return "simd";
   }
-  return "auto";
-}
-
-Backend default_backend() {
-  static const Backend resolved = [] {
-    if (use_reference_kernels()) return Backend::kReference;
-    if (util::env_disabled("ECO_SIMD")) return Backend::kFast;
-    return Backend::kSimd;
-  }();
-  return resolved;
-}
-
-Backend resolve_backend(Backend backend) {
-  return backend == Backend::kAuto ? default_backend() : backend;
+  return "unknown";
 }
 
 bool simd_kernels_compiled() noexcept {

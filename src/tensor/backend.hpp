@@ -17,13 +17,10 @@
 // max|Δ| report. A kernel that cannot meet it stays off the deterministic
 // aggregate path.
 //
-// Selection: engines resolve `Backend::kAuto` to a concrete backend once at
-// construction (like scan-equivalence pinning). Two process-wide selectors
-// decide kAuto, in this order:
-//
-//   1. ECO_REFERENCE_KERNELS=1  -> reference (audit mode, overrides all)
-//   2. ECO_SIMD=0               -> fast (scalar kernels, vector path off)
-//   3. otherwise                -> simd
+// Selection is in code only: every config that carries a backend
+// (EngineConfig, StemConfig, RpnConfig, Conv2dSpec) defaults to kSimd, and
+// tests and the bench pick kReference or kFast explicitly. No environment
+// variable changes which kernels run.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +28,13 @@
 namespace eco::tensor {
 
 enum class Backend : std::uint8_t {
-  kAuto = 0,   // resolve from the environment at engine construction
   kReference,  // original guarded loops (ground truth)
   kFast,       // scalar raw-pointer kernels (deterministic baseline)
   kSimd,       // explicit vector kernels, bitwise equal to kFast
 };
 
-/// Canonical lowercase name ("auto", "reference", "fast", "simd").
+/// Canonical lowercase name ("reference", "fast", "simd").
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
-
-/// The process-wide default backend, resolved once from the environment
-/// (see precedence above). Never returns kAuto.
-[[nodiscard]] Backend default_backend();
-
-/// `backend`, with kAuto replaced by default_backend().
-[[nodiscard]] Backend resolve_backend(Backend backend);
 
 /// True when the simd kernels were compiled with an explicit vector ISA
 /// (SSE2/AVX2/NEON) rather than falling back to the portable scalar chain.

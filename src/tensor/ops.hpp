@@ -19,9 +19,9 @@ struct Conv2dSpec {
   std::size_t kernel = 3;
   std::size_t stride = 1;
   std::size_t padding = 1;
-  /// Kernel backend for conv2d_rows; kAuto resolves from the environment
-  /// (engines stamp a concrete backend at construction).
-  Backend backend = Backend::kAuto;
+  /// Kernel backend for conv2d_rows (engines stamp their own at
+  /// construction).
+  Backend backend = Backend::kSimd;
 
   [[nodiscard]] std::size_t out_extent(std::size_t in_extent) const noexcept {
     return (in_extent + 2 * padding - kernel) / stride + 1;
@@ -33,13 +33,6 @@ struct Conv2dSpec {
 [[nodiscard]] Tensor conv2d(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, const Conv2dSpec& spec);
 
-/// True when ECO_REFERENCE_KERNELS=1 is set in the environment (read once):
-/// the dispatching kernel entry points (conv2d_rows, box_blur3_into) then
-/// run their reference implementations instead of the raw-pointer fast
-/// paths. CI uses this to prove the fast kernels bitwise-equivalent on the
-/// full bench, not just on sampled inputs.
-[[nodiscard]] bool use_reference_kernels() noexcept;
-
 /// Row-restricted conv2d: computes output rows [row_begin, row_end) into a
 /// preallocated `out` of shape (C_out, H_out, W_out); rows outside the range
 /// are left untouched. conv2d() is implemented on top of this, so the
@@ -47,8 +40,8 @@ struct Conv2dSpec {
 /// this is what lets the temporal stem cache refresh only the rows a frame
 /// delta touched and still honour the pipeline's determinism contract.
 ///
-/// Dispatches to conv2d_rows_fast (or conv2d_rows_reference under
-/// ECO_REFERENCE_KERNELS=1); both produce bitwise-identical outputs.
+/// Dispatches on spec.backend to the reference, fast or simd kernel; all
+/// three produce bitwise-identical outputs.
 void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const Conv2dSpec& spec, std::size_t row_begin,
                  std::size_t row_end, Tensor& out);

@@ -62,6 +62,7 @@ bool load_params(const std::vector<Param*>& params, const std::string& path) {
     if (!read_u64(in, name_len) || name_len > 4096) return false;
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
+    if (!in || name != p->name) return false;
     std::uint64_t ndim = 0;
     if (!read_u64(in, ndim) || ndim > 8) return false;
     Shape shape(ndim);
@@ -76,6 +77,8 @@ bool load_params(const std::vector<Param*>& params, const std::string& path) {
             static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
     if (!in) return false;
   }
+  // The file must end with the last tensor.
+  if (in.peek() != std::ifstream::traits_type::eof()) return false;
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), params[i]->value.data());
   }

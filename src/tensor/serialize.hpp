@@ -15,9 +15,11 @@ namespace eco::tensor {
 [[nodiscard]] bool save_params(const std::vector<Param*>& params,
                                const std::string& path);
 
-/// Loads parameters into an existing module structure; shapes must match.
-/// Returns false on I/O error, magic/version mismatch, shape mismatch, or a
-/// truncated file. All or nothing: on false no parameter has been changed.
+/// Loads parameters into an existing module structure; the stored names and
+/// shapes must match the model's, in order. Returns false on I/O error,
+/// magic/version mismatch, a name or shape mismatch, a truncated file, or
+/// bytes after the last tensor. All or nothing: on false no parameter has
+/// been changed.
 [[nodiscard]] bool load_params(const std::vector<Param*>& params,
                                const std::string& path);
 

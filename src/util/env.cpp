@@ -1,8 +1,11 @@
 #include "util/env.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -44,27 +47,29 @@ bool env_enabled(const char* name) {
                               *value == "on");
 }
 
-bool env_disabled(const char* name) {
-  const std::string* value = env_value(name);
-  return value != nullptr && *value == "0";
+namespace {
+
+[[noreturn]] void throw_unparsable(const char* name, const std::string& value,
+                                   const char* expected) {
+  throw std::invalid_argument(std::string(name) + "='" + value +
+                              "' is not " + expected);
 }
+
+}  // namespace
 
 std::size_t env_size_or(const char* name, std::size_t fallback) {
   const std::string* value = env_value(name);
   if (value == nullptr) return fallback;
+  const char* begin = value->c_str();
   char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value->c_str(), &end, 10);
-  if (end == value->c_str() || parsed == 0) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
-
-std::size_t env_size_allowing_zero(const char* name, std::size_t fallback) {
-  const std::string* value = env_value(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value->c_str(), &end, 10);
-  if (end == value->c_str()) return fallback;
-  return static_cast<std::size_t>(parsed);
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(begin, &end, 10);
+  // strtoull skips leading blanks and accepts a sign; demand bare digits.
+  if (!std::isdigit(static_cast<unsigned char>(*begin)) || *end != '\0' ||
+      errno == ERANGE) {
+    throw_unparsable(name, *value, "an unsigned integer");
+  }
+  return parsed == 0 ? fallback : static_cast<std::size_t>(parsed);
 }
 
 double env_double_or(const char* name, double fallback) {
@@ -72,8 +77,10 @@ double env_double_or(const char* name, double fallback) {
   if (value == nullptr) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || !(parsed > 0.0)) return fallback;
-  return parsed;
+  if (end == value->c_str() || *end != '\0') {
+    throw_unparsable(name, *value, "a number");
+  }
+  return parsed > 0.0 ? parsed : fallback;
 }
 
 std::string env_string_or(const char* name, const std::string& fallback) {

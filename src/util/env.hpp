@@ -1,11 +1,12 @@
-// Read-once ECO_* environment toggles.
+// Read-once ECO_* environment variables.
 //
-// Every runtime toggle in this project (ECO_REFERENCE_KERNELS, ECO_TRACE,
-// ECO_CHANNEL_SHARE, ECO_SIMD, ...) shares the same contract:
-// the variable is read and parsed exactly once per process, so a toggle can
-// never change mid-run and every consumer observes the same value. Before
-// this header each consumer hand-rolled that pattern around std::getenv;
-// these helpers centralize it behind a single cached lookup per name.
+// Nothing in the library reads the environment to decide what it computes:
+// kernel backends, stealing, window pipelining and prefetch depth are
+// config fields only. What remains are observability and bench settings
+// (ECO_TRACE, ECO_TRACE_PATH, ECO_TRACE_CAPACITY, ECO_BASELINE_FPS,
+// ECO_INGEST_MIN_SPEEDUP), and they share one contract: each variable is
+// read and parsed exactly once per process, so a setting can never change
+// mid-run and every consumer observes the same value.
 //
 // All functions are safe to call concurrently and from static initializers.
 #pragma once
@@ -22,23 +23,18 @@ namespace eco::util {
 [[nodiscard]] const std::string* env_value(const char* name);
 
 /// True when `name` is set to an affirmative value: "1", "true" or "on"
-/// (the ECO_TRACE convention; ECO_REFERENCE_KERNELS documents "1").
+/// (the ECO_TRACE convention).
 [[nodiscard]] bool env_enabled(const char* name);
 
-/// True when `name` is set and exactly "0" — the opt-out convention of
-/// ECO_CHANNEL_SHARE=0 and ECO_SIMD=0 (unset means enabled).
-[[nodiscard]] bool env_disabled(const char* name);
-
-/// Unsigned integer value of `name`, or `fallback` when unset/zero/unparsable.
+/// Unsigned decimal value of `name`, or `fallback` when unset or "0".
+/// Throws std::invalid_argument naming the variable when it is set to
+/// anything else that is not a whole unsigned decimal number ("abc", "12x",
+/// "-3", "").
 [[nodiscard]] std::size_t env_size_or(const char* name, std::size_t fallback);
 
-/// Unsigned integer value of `name`, or `fallback` when unset or unparsable.
-/// Unlike env_size_or, an explicit "0" parses as 0 — the ECO_PREFETCH=0
-/// convention, where zero selects a distinct mode rather than the default.
-[[nodiscard]] std::size_t env_size_allowing_zero(const char* name,
-                                                std::size_t fallback);
-
 /// Double value of `name`, or `fallback` when unset or not positive.
+/// Throws std::invalid_argument naming the variable when the whole value
+/// does not parse as a number ("abc", "1.5x", "").
 [[nodiscard]] double env_double_or(const char* name, double fallback);
 
 /// String value of `name`, or `fallback` when unset.

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/stems.hpp"
@@ -71,8 +72,8 @@ TEST_P(ConvKernelEquivalence, FastMatchesReferenceBitwise) {
       << "simd oc=" << c.out_channels << " k=" << c.kernel << " s=" << c.stride
       << " p=" << c.padding << " h=" << c.h << " w=" << c.w;
 
-  // The dispatching entry point agrees too (fast path unless the
-  // ECO_REFERENCE_KERNELS env pins the reference, which is also exact).
+  // The dispatching entry point (spec.backend, kSimd by default) agrees
+  // too.
   Tensor dispatched({spec.out_channels, oh, ow});
   conv2d_rows(input, weight, bias, spec, 0, oh, dispatched);
   EXPECT_TRUE(dispatched.equals(reference));
@@ -309,8 +310,8 @@ TEST(ReluMaxPoolKernelTest, FusedMatchesTwoPassBitwise) {
 // End-to-end pin of the stem kernel path: F of a fixed seed-2022 frame
 // (4 sensors × 8 channels, 24x24) must reproduce the float bits the scalar
 // kernels produced — an FNV-1a hash over every value's bits plus sampled
-// cells. Every backend is bitwise equal, so the pin holds under
-// ECO_SIMD=0 and ECO_REFERENCE_KERNELS=1 too.
+// cells. Every backend is bitwise equal, so the pin holds for any
+// StemConfig::backend.
 TEST(StemGoldenTest, GateFeaturesMatchGoldenBits) {
   dataset::DatasetConfig config;  // seed 2022
   const dataset::Frame frame =
@@ -452,57 +453,59 @@ TEST(IntegralImageKernelTest, PointerWalkMatchesDirectPrefixSums) {
   }
 }
 
-// The RPN's precomputed anchor geometry (clipped boxes, areas, clamped
-// table offsets) must be scoring-equivalent to the per-scan clip/clamp
-// path: every proposal entry point — propose, propose_batch and
-// propose_with_anchors, each with and without scratch — returns bitwise
-// identical proposals, on the default backend and on the reference loops.
-TEST(AnchorGeometryTest, ScratchProposalsMatchScratchless) {
+// The RPN scores every anchor through its scan plan's precomputed geometry
+// (clamped integral-table offsets and areas). This pins that geometry to the
+// clip/clamp semantics of IntegralImage::box_sum: for every anchor, the
+// plan's flat_sum over the inner box and the ring equals box_sum over the
+// clipped boxes, and the stored areas equal the clipped boxes' areas. The
+// extents cover a square grid, an odd non-square one, and one smaller than
+// most anchor templates (every anchor clipped).
+TEST(AnchorGeometryTest, PlanSumsMatchClippedBoxSums) {
   util::Rng rng(8080);
-  const Tensor grid = random_tensor({1, 48, 48}, rng, 0.0f, 1.0f);
-  const Tensor second = random_tensor({1, 48, 48}, rng, 0.0f, 1.0f);
-  const auto expect_same = [](const std::vector<detect::Proposal>& got,
-                              const std::vector<detect::Proposal>& want,
-                              const char* entry, Backend backend) {
-    ASSERT_EQ(got.size(), want.size()) << entry << " " << backend_name(backend);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].box.x1, want[i].box.x1) << entry << " " << i;
-      EXPECT_EQ(got[i].box.y1, want[i].box.y1) << entry << " " << i;
-      EXPECT_EQ(got[i].box.x2, want[i].box.x2) << entry << " " << i;
-      EXPECT_EQ(got[i].box.y2, want[i].box.y2) << entry << " " << i;
-      EXPECT_EQ(got[i].objectness, want[i].objectness) << entry << " " << i;
+  const detect::RpnConfig config;
+  for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{24, 24},
+                             {23, 31},
+                             {5, 5}}) {
+    const Tensor grid = random_tensor({1, h, w}, rng, 0.0f, 1.0f);
+    const detect::IntegralImage integral(grid);
+    const detect::ScanPlan plan =
+        detect::build_scan_plan(detect::ScanPlanKey{h, w, config});
+    const std::vector<detect::Box> anchors =
+        detect::generate_anchors(h, w, config.anchors);
+    ASSERT_EQ(plan.anchors.size(), anchors.size());
+    ASSERT_EQ(plan.geometry.size(), anchors.size());
+    ASSERT_FALSE(plan.anchors.empty()) << h << "x" << w;
+    const auto limit_w = static_cast<float>(w);
+    const auto limit_h = static_cast<float>(h);
+    for (std::size_t i = 0; i < plan.anchors.size(); ++i) {
+      const detect::Box& anchor = plan.anchors[i];
+      ASSERT_TRUE(anchor.x1 == anchors[i].x1 && anchor.y1 == anchors[i].y1 &&
+                  anchor.x2 == anchors[i].x2 && anchor.y2 == anchors[i].y2)
+          << h << "x" << w << " anchor " << i;
+      const detect::AnchorGeometry& g = plan.geometry[i];
+      const detect::Box inner = anchor.clipped(limit_w, limit_h);
+      detect::Box ring = anchor;
+      ring.x1 -= config.ring;
+      ring.y1 -= config.ring;
+      ring.x2 += config.ring;
+      ring.y2 += config.ring;
+      ring = ring.clipped(limit_w, limit_h);
+      const double inner_sum =
+          g.inner_valid
+              ? integral.flat_sum(g.inner00, g.inner01, g.inner10, g.inner11)
+              : 0.0;
+      const double ring_sum =
+          g.ring_valid
+              ? integral.flat_sum(g.ring00, g.ring01, g.ring10, g.ring11)
+              : 0.0;
+      ASSERT_EQ(inner_sum, integral.box_sum(inner))
+          << h << "x" << w << " anchor " << i;
+      ASSERT_EQ(ring_sum, integral.box_sum(ring))
+          << h << "x" << w << " anchor " << i;
+      ASSERT_EQ(g.inner_area, inner.area()) << h << "x" << w << " anchor " << i;
+      ASSERT_EQ(g.ring_area, ring.area() - inner.area())
+          << h << "x" << w << " anchor " << i;
     }
-  };
-  for (const Backend backend : {Backend::kAuto, Backend::kReference}) {
-    detect::RpnConfig config;
-    config.backend = backend;
-    const detect::Rpn rpn(config);
-    const auto without = rpn.propose(grid);
-    const auto second_without = rpn.propose(second);
-    ASSERT_FALSE(without.empty()) << backend_name(backend);
-
-    detect::ScanScratch scratch;
-    expect_same(rpn.propose(grid, &scratch), without, "propose+scratch",
-                backend);
-
-    // Two grids per batch: the scratchless batch reuses one anchor
-    // generation and the scratch batch reuses one scratch sequentially.
-    const std::vector<const Tensor*> grids{&grid, &second};
-    for (detect::ScanScratch* batch_scratch :
-         {static_cast<detect::ScanScratch*>(nullptr), &scratch}) {
-      const auto batch = rpn.propose_batch(grids, batch_scratch);
-      ASSERT_EQ(batch.size(), 2u);
-      const char* entry =
-          batch_scratch != nullptr ? "propose_batch+scratch" : "propose_batch";
-      expect_same(batch[0], without, entry, backend);
-      expect_same(batch[1], second_without, entry, backend);
-    }
-
-    const auto anchors = detect::generate_anchors(48, 48, config.anchors);
-    expect_same(rpn.propose_with_anchors(grid, anchors), without,
-                "propose_with_anchors", backend);
-    expect_same(rpn.propose_with_anchors(grid, anchors, &scratch), without,
-                "propose_with_anchors+scratch", backend);
   }
 }
 

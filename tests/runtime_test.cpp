@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -587,6 +588,54 @@ TEST(StreamingPipelineTest, DeterministicAcrossWorkersWithCacheAndBatch) {
   const PipelineReport four =
       run_pipeline_exec(4, deep_factory(), /*cache=*/true, /*batch=*/true);
   expect_reports_equal(one, four, /*compare_stem_source=*/true);
+}
+
+// The kernel backend and the ingest prefetch depth are config fields only,
+// and neither may move a report: engines pinned to every backend, each fed
+// by an inline (prefetch 0) and a pooled (prefetch 8) stream, reproduce the
+// first run bitwise. The Deep gate pulls the stem features every frame, so
+// the backend reaches the stem convs as well as the RPN scans; the
+// Knowledge gate's runs also pin the allocation counters, which the Deep
+// gate's per-worker module chains make scheduling-dependent.
+TEST(StreamingPipelineTest, BackendAndPrefetchNeverChangeTheReport) {
+  for (const bool deep : {true, false}) {
+    std::vector<PipelineReport> reports;
+    for (const tensor::Backend backend :
+         {tensor::Backend::kReference, tensor::Backend::kFast,
+          tensor::Backend::kSimd}) {
+      core::EngineConfig engine_config;
+      engine_config.backend = backend;
+      const core::EcoFusionEngine backend_engine(engine_config);
+      for (const std::size_t prefetch : {0u, 8u}) {
+        PipelineConfig config;
+        config.workers = 2;
+        config.window = 16;
+        config.joint.gamma = 2.0f;
+        StreamingPipeline pipeline(backend_engine, config);
+        StreamConfig stream_config = small_stream();
+        stream_config.prefetch = prefetch;
+        FrameStream stream(stream_config);
+        reports.push_back(pipeline.run(
+            stream, deep ? deep_factory() : knowledge_factory()));
+        SCOPED_TRACE(std::string(deep ? "deep " : "knowledge ") +
+                     tensor::backend_name(backend) + " prefetch " +
+                     std::to_string(prefetch));
+        const PipelineReport& first = reports.front();
+        const PipelineReport& report = reports.back();
+        expect_reports_equal(first, report, /*compare_stem_source=*/true);
+        EXPECT_EQ(report.exec.arena_bytes_high_water,
+                  first.exec.arena_bytes_high_water);
+        if (deep) {
+          EXPECT_GT(report.exec.stem_cache_misses, 0u);
+        } else {
+          EXPECT_EQ(report.exec.tensor_allocs, first.exec.tensor_allocs);
+          EXPECT_EQ(report.exec.zero_alloc_frames,
+                    first.exec.zero_alloc_frames);
+        }
+      }
+    }
+    EXPECT_EQ(reports.size(), 6u);
+  }
 }
 
 // Even with a stem-cache capacity far below the live sequence count,

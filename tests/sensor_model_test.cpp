@@ -10,8 +10,8 @@ namespace {
 TEST(RenderBackendTest, FastMatchesReferenceBitwise) {
   // The fast render (row-pointer walks, hoisted blob tables, batched noise
   // fills) must be bitwise identical to the reference per-cell render for
-  // every sensor kind — same contract the tensor kernels pin with
-  // ECO_REFERENCE_KERNELS.
+  // every sensor kind — the same contract the tensor kernels pin between
+  // their reference and fast backends.
   const SensorGridSpec spec;
   RenderScratch scratch;
   for (SceneType scene : {SceneType::kCity, SceneType::kFog}) {

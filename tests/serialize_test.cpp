@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gating/learned_gate.hpp"
@@ -107,9 +108,11 @@ TEST(SerializeTest, ShapeMismatchFails) {
   std::remove(path.c_str());
 }
 
-// A failed load must not corrupt the model: a checkpoint cut at ANY byte
-// offset is rejected and leaves every parameter bitwise as it was.
-TEST(SerializeTest, TruncatedFileLeavesParamsUntouched) {
+// A failed load must not corrupt the model. Every rejected file leaves each
+// parameter bitwise as it was: the checkpoint cut at ANY byte offset, the
+// checkpoint with bytes after its last tensor, and a checkpoint of the same
+// shapes whose parameters carry other names (a file for another model).
+TEST(SerializeTest, RejectedFileLeavesParamsUntouched) {
   util::Rng rng(11);
   Linear a1(4, 3, rng), a2(3, 2, rng);
   std::vector<Param*> source;
@@ -136,13 +139,35 @@ TEST(SerializeTest, TruncatedFileLeavesParamsUntouched) {
   }
   const auto before = snapshot(target);
 
-  const std::string cut_path = temp_path("eco_serialize_cut.bin");
+  std::vector<std::pair<std::string, std::string>> rejected;  // label, file
   for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+    rejected.emplace_back("truncated at byte " + std::to_string(offset),
+                          bytes.substr(0, offset));
+  }
+  rejected.emplace_back("16 bytes appended", bytes + std::string(16, 'Z'));
+  {
+    std::vector<Param> renamed;
+    for (const Param* p : source) {
+      renamed.push_back(Param{"renamed_" + p->name, p->value, Tensor()});
+    }
+    std::vector<Param*> renamed_ptrs;
+    for (Param& p : renamed) renamed_ptrs.push_back(&p);
+    const std::string renamed_path = temp_path("eco_serialize_renamed.bin");
+    ASSERT_TRUE(save_params(renamed_ptrs, renamed_path));
+    std::ifstream in(renamed_path, std::ios::binary);
+    rejected.emplace_back("renamed params",
+                          std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()));
+    std::remove(renamed_path.c_str());
+  }
+
+  const std::string cut_path = temp_path("eco_serialize_cut.bin");
+  for (const auto& [label, file] : rejected) {
     {
       std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(offset));
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
     }
-    SCOPED_TRACE("truncated at byte " + std::to_string(offset));
+    SCOPED_TRACE(label);
     EXPECT_FALSE(load_params(target, cut_path));
     expect_unchanged(target, before);
   }

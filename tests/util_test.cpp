@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "util/csv.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -118,6 +124,56 @@ TEST(LoggingTest, LevelFilterSuppressesBelowThreshold) {
   log_info() << "suppressed";
   log_error() << "emitted";
   set_log_level(original);
+}
+
+// Each variable is read once per process, so every case uses its own name.
+// A value that does not parse must fail loudly rather than fall back: a
+// typo in ECO_BASELINE_FPS would otherwise disarm the bench's fps floor.
+TEST(EnvTest, NumericParsersRejectUnparsableValues) {
+  const auto set = [](const std::string& name, const char* value) {
+    ASSERT_EQ(setenv(name.c_str(), value, 1), 0);
+  };
+  const std::pair<const char*, const char*> bad[] = {
+      {"abc", "abc"}, {"suffix", "12x"}, {"empty", ""}, {"sign", "-3"},
+      {"blank", " 4"}};
+  for (const auto& [tag, value] : bad) {
+    const std::string size_name = std::string("ECO_TEST_SIZE_") + tag;
+    set(size_name, value);
+    EXPECT_THROW((void)env_size_or(size_name.c_str(), 7),
+                 std::invalid_argument)
+        << "'" << value << "'";
+  }
+  const std::pair<const char*, const char*> bad_double[] = {
+      {"abc", "abc"}, {"suffix", "1.5x"}, {"empty", ""}};
+  for (const auto& [tag, value] : bad_double) {
+    const std::string name = std::string("ECO_TEST_DOUBLE_") + tag;
+    set(name, value);
+    EXPECT_THROW((void)env_double_or(name.c_str(), 2.0),
+                 std::invalid_argument)
+        << "'" << value << "'";
+  }
+  try {
+    set("ECO_TEST_MESSAGE", "abc");
+    (void)env_double_or("ECO_TEST_MESSAGE", 0.0);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ECO_TEST_MESSAGE='abc'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EnvTest, NumericParsersAcceptNumbersAndFallBack) {
+  EXPECT_EQ(env_size_or("ECO_TEST_UNSET_SIZE", 7), 7u);
+  EXPECT_EQ(env_double_or("ECO_TEST_UNSET_DOUBLE", 2.5), 2.5);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_OK", "4096", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_OK", 7), 4096u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_ZERO", "0", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_ZERO", 7), 7u);
+  ASSERT_EQ(setenv("ECO_TEST_DOUBLE_OK", "1.25", 1), 0);
+  EXPECT_EQ(env_double_or("ECO_TEST_DOUBLE_OK", 2.0), 1.25);
+  ASSERT_EQ(setenv("ECO_TEST_DOUBLE_ZERO", "0", 1), 0);
+  EXPECT_EQ(env_double_or("ECO_TEST_DOUBLE_ZERO", 2.0), 2.0);
 }
 
 }  // namespace
